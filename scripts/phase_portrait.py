@@ -36,7 +36,7 @@ def main():
     for k, p in enumerate(densities):
         fracs = np.empty((args.replicas, grid.size))
         for i in range(args.replicas):
-            rng = RngStream(args.seed, (k << 20) + i).generator()
+            rng = RngStream(args.seed, (k, i)).generator()
             cfg = sample_product(shape, p, rng)
             obs = FractionObserver()
             run(cfg, THRESHOLD, args.T, rng, observers=(obs,))

@@ -9,7 +9,9 @@ can accumulate in boxes d..2d:
    the 2d balls nearest to box d from the left region;
 3. same, after lumping boxes floor(2d*p0)..d-1 into box d at time 0;
 4. a single box that gains 2d balls after every m = floor(d(1-2p0))
-   exponential steps at the current count's rate.
+   exponential steps at the current count's rate.  At m = 1 its final count
+   is drawn in closed form (single_box_count); otherwise its path is
+   simulated (approach4_run).
 
 Here p0 = 1/4 + p/2, sitting strictly between p and 1/2.
 """
@@ -173,6 +175,15 @@ def step_count(d: int, p: float) -> int:
     return m
 
 
+MAX_JUMPS = 5_000_000  # the count grows like exp(2dT/m); refuse to chase it
+
+
+def _too_many_jumps(I0: int, d: int, m: int, T: float) -> ValueError:
+    return ValueError(
+        f"single-box run needs more than {MAX_JUMPS} jumps before "
+        f"T={T} (I0={I0}, d={d}, m={m}); shorten the horizon")
+
+
 @dataclass
 class SingleBoxRun:
     """C_tilde series plus the per-jump ratio statistics tau_j / E[tau_j]."""
@@ -195,12 +206,9 @@ def approach4_run(I0: int, d: int, p: float, T: float,
     gammas = np.empty(0)
     cum = np.empty(0)
     block = 1024
-    max_jumps = 5_000_000  # the count grows like exp(2dT/m); refuse to chase it
     while cum.size == 0 or cum[-1] < T:
-        if gammas.size >= max_jumps:
-            raise ValueError(
-                f"single-box run needs more than {max_jumps} jumps before "
-                f"T={T} (I0={I0}, d={d}, m={m}); shorten the horizon")
+        if gammas.size >= MAX_JUMPS:
+            raise _too_many_jumps(I0, d, m, T)
         more = rng.standard_gamma(m, size=block)
         gammas = np.concatenate([gammas, more])
         j = np.arange(1, gammas.size + 1)
@@ -213,6 +221,32 @@ def approach4_run(I0: int, d: int, p: float, T: float,
     ratios = gammas[:jumps] / m  # tau_j / E[tau_j]
     return SingleBoxRun(ObservableSeries(times, values, T),
                         list(taus), list(ratios))
+
+
+def single_box_count(I0: int, d: int, p: float, T: float,
+                     rng: np.random.Generator) -> int:
+    """Count of the single-box process at time T, started from I0.
+
+    At m = 1, jump j comes at rate I0 + 2d(j-1) = 2d(j-1 + a) with
+    a = I0/(2d): the jump count J_T is a linear birth process with
+    immigration, so J_T ~ NegBin(a, e^{-2dT}) exactly (Kendall 1948) and one
+    draw gives the count I0 + 2d J_T.  For m > 1 the path is simulated by
+    approach4_run.  Runs past MAX_JUMPS jumps are refused either way.
+    """
+    if T <= 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    m = step_count(d, p)
+    if m > 1:
+        return int(approach4_run(I0, d, p, T, rng).series.values[-1])
+    if I0 <= 0:
+        return 0
+    try:
+        jumps = int(rng.negative_binomial(I0 / (2 * d), math.exp(-2 * d * T)))
+    except ValueError:  # numpy: "n too large or p too small", or p underflows
+        raise _too_many_jumps(I0, d, m, T) from None
+    if jumps > MAX_JUMPS:
+        raise _too_many_jumps(I0, d, m, T)
+    return I0 + 2 * d * jumps
 
 
 APPROACHES = ("E_T", "C_hat", "C_bar", "C_tilde")
@@ -275,8 +309,7 @@ def _sample_C_tilde(shape, p, T, replicas, rng):
     for i in range(replicas):
         cfg = sample_product(shape, p, rng)
         I0 = neighbor_histogram(cfg).suffix(lo)
-        series = approach4_run(I0, d, p, T, rng).series
-        out[i] = int(series.values[-1])
+        out[i] = single_box_count(I0, d, p, T, rng)
     return out
 
 

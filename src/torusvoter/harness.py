@@ -94,6 +94,8 @@ def _initial_config(spec: ExperimentSpec, shape: TorusShape, rng):
 def _mean_se_median(values: np.ndarray):
     values = np.asarray(values, dtype=float)
     n = values.size
+    if n == 0:
+        return math.nan, math.nan, math.nan
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, se, float(np.median(values))
@@ -148,6 +150,7 @@ def _couple_rows(spec: ExperimentSpec):
     violations = 0
     lower_at = np.empty((spec.replicas, grid.size))
     upper_at = np.empty((spec.replicas, grid.size))
+    kept = np.ones(spec.replicas, dtype=bool)  # replicas without a violation
     for i in range(spec.replicas):
         rng = RngStream(spec.seed, i).generator()
         try:
@@ -159,6 +162,7 @@ def _couple_rows(spec: ExperimentSpec):
             dominated = 1
         except coupling.DominationError:
             violations += 1
+            kept[i] = False
             continue
         lo = traj.lower_sizes()
         up = traj.upper_sizes()
@@ -173,8 +177,8 @@ def _couple_rows(spec: ExperimentSpec):
               "lower_frac", "dominated"]
     per_t = []
     for j, t in enumerate(grid):
-        lm, ls, _ = _mean_se_median(lower_at[:, j])
-        um, us, _ = _mean_se_median(upper_at[:, j])
+        lm, ls, _ = _mean_se_median(lower_at[kept, j])
+        um, us, _ = _mean_se_median(upper_at[kept, j])
         per_t.append({"t": float(t), "mean_lower_frac": lm, "se_lower": ls,
                       "mean_upper_frac": um, "se_upper": us})
     summary = {"coupling": "monotone" if monotone else "eta_zeta",
@@ -192,7 +196,7 @@ def _sweep_rows(spec: ExperimentSpec):
         sup_devs = []
         mean_E = []
         for i in range(spec.replicas):
-            rng = RngStream(spec.seed, (di << 20) + i).generator()
+            rng = RngStream(spec.seed, (di, i)).generator()
             cfg = spin.sample_product(shape, p, rng)
             obs = observables.FractionObserver()
             acc = observables.EAccumulator()

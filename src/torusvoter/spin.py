@@ -29,13 +29,18 @@ DEATH = "death"
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based RNG identity: (seed, stream_id) -> reproducible stream."""
+    """Counter-based RNG identity: (seed, stream_id) -> reproducible stream.
+
+    An integer stream_id is the spawn key (stream_id,); a tuple is used as
+    the spawn key itself, so (d, i) keys never collide across d.
+    """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int | tuple[int, ...] = 0
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         return np.random.Generator(np.random.Philox(ss))
 
 

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from torusvoter.ballgame import (APPROACHES, BoxState, approach2_run,
-                                 approach3_init, approach4_run,
+from torusvoter.ballgame import (APPROACHES, MAX_JUMPS, BoxState,
+                                 approach2_run, approach3_init, approach4_run,
                                  boxes_from_config, dominance_experiment,
                                  p_zero, replay_boxes, rightward_move,
-                                 step_count)
+                                 single_box_count, step_count)
 from torusvoter.observables import neighbor_histogram
 from torusvoter.spin import (THRESHOLD, RngStream, config_from_bits, run,
                              sample_product)
@@ -207,6 +208,50 @@ class TestApproach4:
         assert abs(ratios.mean() - 1.0) < 3 / math.sqrt(n * m)
         var_se = (1.0 / m) * math.sqrt(2.0 / (n - 1))
         assert abs(ratios.var(ddof=1) - 1.0 / m) < 4 * var_se
+
+
+class TestSingleBoxCount:
+    def test_law_matches_path_sampler(self):
+        # m = 1 at d=8, p=0.3: the NegBin draw against the simulated path
+        assert step_count(8, 0.3) == 1
+        for I0 in (1, 4, 16):
+            g, h = rng(15, I0), rng(16, I0)
+            closed = [single_box_count(I0, 8, 0.3, 0.5, g) for _ in range(2000)]
+            path = [approach4_run(I0, 8, 0.3, 0.5, h).series.values[-1]
+                    for _ in range(2000)]
+            assert ks_2samp(closed, path).pvalue > 0.01, I0
+
+    def test_counts_on_jump_lattice(self):
+        g = rng(17)
+        for _ in range(200):
+            c = single_box_count(7, 6, 0.3, 0.5, g)
+            assert c >= 7 and (c - 7) % 12 == 0
+
+    def test_zero_start_draws_nothing(self):
+        g, twin = rng(18), rng(18)
+        assert single_box_count(0, 8, 0.3, 0.5, g) == 0
+        assert g.random() == twin.random()
+
+    def test_m_above_one_uses_path_sampler(self):
+        assert step_count(10, 0.3) == 2
+        g, h = rng(19), rng(19)
+        got = single_box_count(50, 10, 0.3, 0.5, g)
+        want = approach4_run(50, 10, 0.3, 0.5, h).series.values[-1]
+        assert got == want
+        assert g.random() == h.random()  # same draws consumed
+
+    def test_jump_cap(self):
+        msg = f"more than {MAX_JUMPS} jumps"
+        with pytest.raises(ValueError, match=msg):
+            single_box_count(40, 6, 0.3, 3.0, rng(20))  # draw ~1e16 jumps
+        with pytest.raises(ValueError, match=msg):
+            single_box_count(40, 6, 0.3, 40.0, rng(20))  # numpy refuses
+        with pytest.raises(ValueError, match=msg):
+            single_box_count(40, 6, 0.3, 70.0, rng(20))  # e^{-2dT} underflows
+
+    def test_rejects_bad_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            single_box_count(5, 8, 0.3, 0.0, rng())
 
 
 class TestDominance:

@@ -107,6 +107,44 @@ class TestModes:
         for entry in result["summary"]["per_t"]:
             assert entry["mean_lower_frac"] <= entry["mean_upper_frac"] + 1e-12
 
+    def test_couple_excludes_violating_replica(self, tmp_path, monkeypatch):
+        from torusvoter import coupling
+
+        real = coupling.coupled_run_monotone
+        calls = []
+
+        def violate_second(*args, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise coupling.DominationError("injected violation")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(coupling, "coupled_run_monotone", violate_second)
+        out = tmp_path / "couple"
+        result = run_experiment(spec(mode="couple", d=(3,), r=2, p=(0.3, 0.45),
+                                     replicas=4, out=str(out)))
+        summary = result["summary"]
+        assert summary["violations"] == 1
+        with open(out / "rows.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {int(r["replica"]) for r in rows} == {0, 2, 3}
+        for entry in summary["per_t"]:
+            for col, side in (("lower_frac", "lower"), ("upper_frac", "upper")):
+                vals = np.array([float(r[col]) for r in rows
+                                 if float(r["t"]) == entry["t"]])
+                assert vals.size == 3
+                assert entry[f"mean_{side}_frac"] == pytest.approx(
+                    float(vals.mean()), abs=1e-15)
+                se = vals.std(ddof=1) / math.sqrt(3)
+                assert entry[f"se_{side}"] == pytest.approx(float(se), abs=1e-15)
+
+        calls[:] = [1]  # the lone replica makes the second call and violates
+        summary = run_experiment(spec(mode="couple", d=(3,), r=2, p=(0.3, 0.45),
+                                      replicas=1))["summary"]
+        assert summary["violations"] == 1
+        assert all(math.isnan(entry[key]) for entry in summary["per_t"]
+                   for key in ("mean_lower_frac", "se_lower"))
+
     def test_sweep_trend_fields(self):
         result = run_experiment(spec(mode="sweep", d=(2, 3, 4), r=2,
                                      p=(0.2,), replicas=4))
@@ -186,6 +224,14 @@ class TestCliExitCodes:
                      "--init", "0" * 27])
         assert code == 3
         assert "capacity error" in capsys.readouterr().err
+
+    def test_single_box_jump_cap(self, capsys):
+        code = main(["ballgame", "--d", "6", "--p", "0.3", "--T", "3",
+                     "--replicas", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:")
+        assert "jumps" in err and "Traceback" not in err
 
     def test_oracle_large_torus_degrades_gracefully(self):
         result = run_experiment(spec(mode="oracle", d=(5,), r=3, p=(0.4,)))

@@ -131,6 +131,16 @@ class TestDeterminism:
             trajs.append([(ev.time, ev.vertex, ev.new_value) for ev in traj.events])
         assert trajs[0] == trajs[1]
 
+    def test_tuple_stream_ids(self):
+        # the old sweep ids (d << 20) + i gave (2, 2**20) and (3, 0) one stream
+        assert (2 << 20) + 2**20 == (3 << 20) + 0
+        a = RngStream(4, (2, 2**20)).generator().random(4)
+        b = RngStream(4, (3, 0)).generator().random(4)
+        assert not np.array_equal(a, b)
+        # an integer id keeps its one-element spawn key
+        assert np.array_equal(RngStream(4, 7).generator().random(4),
+                              RngStream(4, (7,)).generator().random(4))
+
     def test_distinct_streams_differ(self):
         shape = TorusShape(4, 2)
         out = []
@@ -240,3 +250,24 @@ def test_counts_stay_consistent_property(d, r_side, p, seed):
     cfg = sample_product(shape, p, r)
     run(cfg, THRESHOLD, 0.5, r)
     verify_counts(cfg)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=3),
+       st.sampled_from([THRESHOLD, DEATH]), st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=99))
+@settings(max_examples=40, deadline=None)
+def test_active_set_matches_rebuild_property(r_side, d, kind, p, seed):
+    shape = TorusShape(d, r_side)
+    g = rng(seed)
+    cfg = sample_product(shape, p, g)
+    engine = EventEngine(cfg, kind, g)
+    rate = threshold_rate if kind == THRESHOLD else death_rate
+    for _ in range(200):
+        ev = engine.step(1.0)
+        verify_counts(cfg)
+        rebuilt = {x for x in range(shape.n) if rate(cfg, x)}
+        assert set(engine.active.items) == rebuilt
+        assert all(engine.active.pos[x] == k
+                   for k, x in enumerate(engine.active.items))
+        if ev is None:
+            break
