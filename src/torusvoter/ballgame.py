@@ -19,13 +19,13 @@ Here p0 = 1/4 + p/2, sitting strictly between p and 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .observables import EAccumulator, ObservableSeries, neighbor_histogram
-from .spin import THRESHOLD, _exp_variate, sample_product, run
-from .torus import TorusShape, neighbors
+from .spin import THRESHOLD, _exp_variate, flip_and_count, sample_product, run
+from .torus import TorusShape, neighbor_kernel
 
 
 @dataclass
@@ -58,24 +58,21 @@ def boxes_from_config(cfg) -> BoxState:
 def replay_boxes(traj):
     """Yield (time, BoxState) along a trajectory, moving balls per flip.
 
-    A flip at x moves one ball per neighbor slot of x: right on a 0->1 flip,
-    left on a 1->0 flip.  Matches boxes_from_config of the replayed
-    configuration at every event (tested).
+    A flip at x moves the ball of each distinct neighbor of x by its slot
+    weight w (torus.neighbor_kernel): right on a 0->1 flip, left on a 1->0
+    flip.  Matches boxes_from_config of the replayed configuration at every
+    event (tested).
     """
     cfg = traj.initial.copy()
-    shape = cfg.shape
     box = boxes_from_config(cfg)
     yield 0.0, box.copy()
-    table = shape.neighbor_table()
+    nbrs_of, w = neighbor_kernel(cfg.shape)
     for ev in traj.events:
-        step = 1 if ev.new_value == 1 else -1
-        nbrs = table[ev.vertex] if table is not None else neighbors(shape, ev.vertex)
-        for y in nbrs:
-            k = cfg.ones_nbr[y]
-            box.counts[k] -= 1
-            box.counts[k + step] += 1
-            cfg.ones_nbr[y] += step
-        cfg.bits[ev.vertex] = ev.new_value
+        nbrs = nbrs_of(ev.vertex)
+        k = cfg.ones_nbr[nbrs]
+        np.subtract.at(box.counts, k, 1)
+        np.add.at(box.counts, k + (w if ev.new_value == 1 else -w), 1)
+        flip_and_count(cfg, ev.vertex, ev.new_value, nbrs, w)
         yield ev.time, box.copy()
 
 
@@ -207,7 +204,7 @@ def approach4_run(I0: int, d: int, p: float, T: float,
     cum = np.empty(0)
     block = 1024
     while cum.size == 0 or cum[-1] < T:
-        if gammas.size >= MAX_JUMPS:
+        if gammas.size > MAX_JUMPS:  # all of them come before T
             raise _too_many_jumps(I0, d, m, T)
         more = rng.standard_gamma(m, size=block)
         gammas = np.concatenate([gammas, more])
@@ -215,6 +212,8 @@ def approach4_run(I0: int, d: int, p: float, T: float,
         cum = np.cumsum(gammas / (I0 + 2 * d * (j - 1)))
         block *= 2
     jumps = int(np.searchsorted(cum, T))  # jumps strictly before T
+    if jumps > MAX_JUMPS:
+        raise _too_many_jumps(I0, d, m, T)
     taus = gammas[:jumps] / (I0 + 2 * d * np.arange(jumps))
     times += list(cum[:jumps])
     values += [float(I0 + 2 * d * j) for j in range(1, jumps + 1)]

@@ -17,14 +17,14 @@ Two couplings are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .observables import ObservableSeries
-from .spin import (Configuration, FlipEvent, Trajectory, _IndexedSet,
-                   _exp_variate, sample_product, threshold_rate)
-from .torus import TorusShape, neighbors
+from .spin import (Configuration, Trajectory, _IndexedSet, _exp_variate,
+                   build_ones_nbr, flip_and_count, sample_product, threshold_rate)
+from .torus import TorusShape, neighbor_kernel
 
 
 class DominationError(AssertionError):
@@ -70,19 +70,8 @@ def _check_domination(lower: Configuration, upper: Configuration):
         raise DominationError(f"lower({x}) = 1 > upper({x}) = 0")
 
 
-def _rate(cfg: Configuration, x: int) -> int:
-    d = cfg.shape.d
-    disagree = cfg.ones_nbr[x] if cfg.bits[x] == 0 else 2 * d - cfg.ones_nbr[x]
-    return 1 if disagree >= d else 0
-
-
-def _flip(cfg: Configuration, x: int, nbrs) -> int:
-    new = 1 - int(cfg.bits[x])
-    cfg.bits[x] = new
-    delta = 1 if new == 1 else -1
-    for y in nbrs:
-        cfg.ones_nbr[y] += delta
-    return new
+def _flip(cfg: Configuration, x: int, nbrs, w: int) -> int:
+    return flip_and_count(cfg, x, 1 - int(cfg.bits[x]), nbrs, w)
 
 
 def coupled_run_eta_zeta(shape: TorusShape, p: float, T: float,
@@ -105,13 +94,10 @@ def _run_eta_zeta(upper, lower, T, rng, check):
     shape = upper.shape
     if not np.array_equal(upper.bits, lower.bits):
         raise ValueError("coupled start requires identical initial states")
-    table = shape.neighbor_table()
-
-    def nbrs_of(x):
-        return table[x] if table is not None else neighbors(shape, x)
+    nbrs_of, w = neighbor_kernel(shape)
 
     def in_union(x):
-        return lower.bits[x] == 1 or _rate(upper, x) == 1
+        return lower.bits[x] == 1 or threshold_rate(upper, x) == 1
 
     active = _IndexedSet(shape.n)
     for x in range(shape.n):
@@ -129,10 +115,10 @@ def _run_eta_zeta(upper, lower, T, rng, check):
             break
         x = active.items[int(rng.integers(k))]
         nbrs = nbrs_of(x)
-        upper_new = _flip(upper, x, nbrs) if _rate(upper, x) else None
-        lower_new = _flip(lower, x, nbrs) if lower.bits[x] == 1 else None
+        upper_new = _flip(upper, x, nbrs, w) if threshold_rate(upper, x) else None
+        lower_new = _flip(lower, x, nbrs, w) if lower.bits[x] == 1 else None
         events.append(CoupledEvent(t, x, upper_new, lower_new))
-        for y in (x, *nbrs):
+        for y in (x, *nbrs.tolist()):
             if in_union(y):
                 active.add(y)
             else:
@@ -158,17 +144,14 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     u = rng.random(shape.n)
     lower = _config(shape, u < p1)
     upper = _config(shape, u < p2)
-    table = shape.neighbor_table()
-
-    def nbrs_of(x):
-        return table[x] if table is not None else neighbors(shape, x)
+    nbrs_of, w = neighbor_kernel(shape)
 
     # arm encoding: 2x   = shared clock (concordant) or lower sub-clock,
     #               2x+1 = upper sub-clock (discordant only)
     arms = _IndexedSet(2 * shape.n)
 
     def sync(x):
-        rl, ru = _rate(lower, x), _rate(upper, x)
+        rl, ru = threshold_rate(lower, x), threshold_rate(upper, x)
         concordant = lower.bits[x] == upper.bits[x]
         want0 = (rl or ru) if concordant else bool(rl)
         want1 = bool(ru) and not concordant
@@ -193,16 +176,16 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
         upper_new = lower_new = None
         if lower.bits[x] == upper.bits[x]:
             # shared clock: each marginal flips iff its own rate is 1
-            if _rate(lower, x):
-                lower_new = _flip(lower, x, nbrs)
-            if _rate(upper, x):
-                upper_new = _flip(upper, x, nbrs)
+            if threshold_rate(lower, x):
+                lower_new = _flip(lower, x, nbrs, w)
+            if threshold_rate(upper, x):
+                upper_new = _flip(upper, x, nbrs, w)
         elif sub == 0:
-            lower_new = _flip(lower, x, nbrs)  # discordant 0 -> 1
+            lower_new = _flip(lower, x, nbrs, w)  # discordant 0 -> 1
         else:
-            upper_new = _flip(upper, x, nbrs)  # discordant 1 -> 0
+            upper_new = _flip(upper, x, nbrs, w)  # discordant 1 -> 0
         events.append(CoupledEvent(t, x, upper_new, lower_new))
-        for y in (x, *nbrs):
+        for y in (x, *nbrs.tolist()):
             sync(y)
         if check:
             _check_domination(lower, upper)
@@ -210,7 +193,6 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
 
 
 def _config(shape, mask) -> Configuration:
-    from .spin import build_ones_nbr
     bits = mask.astype(np.uint8)
     return Configuration(shape, bits, build_ones_nbr(shape, bits))
 

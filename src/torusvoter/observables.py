@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,14 +105,16 @@ def sup_deviation(series: ObservableSeries, p: float, T: float) -> float:
     best = 0.0
     times = series.times
     values = series.values
+    f0 = fluid(p, times[0]) if times else 0.0
     for i, v in enumerate(values):
-        t0 = times[i]
-        if t0 > T:
+        if times[i] > T:
             break
         t1 = min(times[i + 1], T) if i + 1 < len(times) else T
-        dev = max(abs(v - fluid(p, t0)), abs(v - fluid(p, t1)))
+        f1 = fluid(p, t1)
+        dev = max(abs(v - f0), abs(v - f1))
         if dev > best:
             best = dev
+        f0 = f1  # fluid at times[i + 1], unless that lies past T and ends the loop
     return best
 
 
@@ -167,13 +169,11 @@ class EAccumulator:
             self.sizes.append(self._size)
             return
         if event is not None:
-            grew = False
-            for y in engine._nbrs(event.vertex):
-                if not self.in_E[y] and cfg.ones_nbr[y] >= d:
-                    self.in_E[y] = True
-                    self._size += 1
-                    grew = True
-            if grew:
+            nbrs = engine.neighbors(event.vertex)
+            fresh = nbrs[~self.in_E[nbrs] & (cfg.ones_nbr[nbrs] >= d)]
+            if fresh.size:
+                self.in_E[fresh] = True
+                self._size += int(fresh.size)
                 self.times.append(time)
                 self.sizes.append(self._size)
         self._horizon = max(self._horizon, time)

@@ -9,7 +9,9 @@ Two dynamics share one engine, both with 0/1 flip rates:
 The engine samples the next event from Exp(|active set|) and picks the
 vertex uniformly over the active set, which is exactly the law of
 independent unit-rate Poisson clocks with conditional flips (thinning).
-A "naive" variant rings every vertex at rate 1 and rejects rate-0 rings;
+A flip adds w to the one-count of each distinct neighbor in one array
+update (torus.neighbor_kernel: w = 2 on r = 2, 1 otherwise), then looks up
+the rates of x and its neighbors in rate_table.  A "naive" variant rings every vertex at rate 1 and rejects rate-0 rings;
 it is slower but exposes every clock ring, which the survival-time
 diagnostics need.
 """
@@ -17,11 +19,11 @@ diagnostics need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import TorusShape, neighbors
+from .torus import TorusShape, neighbor_kernel
 
 THRESHOLD = "threshold"
 DEATH = "death"
@@ -132,9 +134,12 @@ def _exp_variate(rng: np.random.Generator, rate: float) -> float:
 class _IndexedSet:
     """Set of vertex ids with O(1) add/remove and uniform sampling."""
 
-    def __init__(self, n: int):
-        self.pos = [-1] * n
-        self.items: list[int] = []
+    def __init__(self, n: int, items=()):
+        """Empty set over n ids, or one holding `items` in the given order."""
+        self.items: list[int] = list(items)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[self.items] = np.arange(len(self.items))
+        self.pos: list[int] = pos.tolist()
 
     def __len__(self):
         return len(self.items)
@@ -157,6 +162,28 @@ class _IndexedSet:
             self.pos[x] = -1
 
 
+def rate_table(d: int, kind: str) -> np.ndarray:
+    """table[b, k]: flip rate (0 or 1) of a vertex holding b with k one-neighbors."""
+    k = np.arange(2 * d + 1)
+    if kind == THRESHOLD:  # k neighbors disagree with a 0, 2d - k with a 1
+        rows = (k >= d, 2 * d - k >= d)
+    elif kind == DEATH:  # ones die, zeros are frozen
+        rows = (k < 0, k >= 0)
+    else:
+        raise ValueError(f"unknown dynamics kind {kind!r}")
+    return np.array(rows, dtype=np.uint8)
+
+
+def flip_and_count(cfg: Configuration, x: int, new: int, nbrs, w: int) -> int:
+    """Set x to `new` and move the count of each distinct neighbor by w.
+
+    nbrs and w come from torus.neighbor_kernel; returns new.
+    """
+    cfg.bits[x] = new
+    cfg.ones_nbr[nbrs] += w if new == 1 else -w
+    return new
+
+
 class EventEngine:
     """Gillespie loop over the active set for one of the two dynamics.
 
@@ -168,55 +195,45 @@ class EventEngine:
 
     def __init__(self, cfg: Configuration, kind: str, rng: np.random.Generator,
                  naive: bool = False, record_rings: bool = False):
-        if kind not in (THRESHOLD, DEATH):
-            raise ValueError(f"unknown dynamics kind {kind!r}")
         if record_rings and not naive:
             raise ValueError("ring recording requires the naive variant")
+        shape = cfg.shape
+        self._rates = rate_table(shape.d, kind)
         self.cfg = cfg
         self.kind = kind
         self.rng = rng
         self.naive = naive
         self.time = 0.0
-        shape = cfg.shape
-        self._d = shape.d
         self._n = shape.n
-        self._table = shape.neighbor_table()
-        self._shape = shape
+        self._nbrs, self._w = neighbor_kernel(shape)
         self.first_ring = [math.inf] * shape.n if record_rings else None
-        self.active = _IndexedSet(shape.n)
-        for x in range(shape.n):
-            if self._rate(x):
-                self.active.add(x)
+        # ascending vertex order, as adding them one by one would give
+        active = np.flatnonzero(self._rates[cfg.bits, cfg.ones_nbr])
+        self.active = _IndexedSet(shape.n, active.tolist())
 
-    def _nbrs(self, x):
-        return self._table[x] if self._table is not None else neighbors(self._shape, x)
-
-    def _rate(self, x) -> int:
-        bits = self.cfg.bits
-        if self.kind == DEATH:
-            return int(bits[x])
-        d = self._d
-        disagree = self.cfg.ones_nbr[x] if bits[x] == 0 else 2 * d - self.cfg.ones_nbr[x]
-        return 1 if disagree >= d else 0
+    def neighbors(self, x) -> np.ndarray:
+        """The distinct neighbors of x (each one is w of its 2d slots)."""
+        return self._nbrs(x)
 
     def _apply_flip(self, x) -> int:
         """Flip x, update neighbor counts and the active set; return new value."""
         cfg = self.cfg
-        new = 1 - int(cfg.bits[x])
-        cfg.bits[x] = new
-        delta = 1 if new == 1 else -1
         nbrs = self._nbrs(x)
-        ones_nbr = cfg.ones_nbr
-        for y in nbrs:
-            ones_nbr[y] += delta
+        new = flip_and_count(cfg, x, 1 - int(cfg.bits[x]), nbrs, self._w)
         if not self.naive:
-            touched = set(nbrs)
+            # walk x and its neighbors in set order: the order of adds and
+            # removes fixes active.items, and with it every later draw
+            touched = set(nbrs.tolist())
             touched.add(x)
-            for y in touched:
-                if self._rate(y):
-                    self.active.add(y)
-                else:
-                    self.active.remove(y)
+            order = np.fromiter(touched, np.int64, len(touched))
+            rates = self._rates[cfg.bits[order], cfg.ones_nbr[order]]
+            active = self.active
+            pos = active.pos
+            for y, on in zip(order.tolist(), rates.tolist()):
+                if on:
+                    active.add(y)
+                elif pos[y] >= 0:
+                    active.remove(y)
         return new
 
     def step(self, horizon: float) -> FlipEvent | None:
@@ -224,6 +241,7 @@ class EventEngine:
         rng = self.rng
         if self.naive:
             n = self._n
+            bits, ones_nbr = self.cfg.bits, self.cfg.ones_nbr
             while True:
                 dt = _exp_variate(rng, n)
                 if self.time + dt >= horizon:
@@ -233,7 +251,7 @@ class EventEngine:
                 x = int(rng.integers(n))
                 if self.first_ring is not None and self.first_ring[x] == math.inf:
                     self.first_ring[x] = self.time
-                if self._rate(x):
+                if self._rates[bits[x], ones_nbr[x]]:
                     return FlipEvent(self.time, x, self._apply_flip(x))
         else:
             k = len(self.active)
@@ -283,13 +301,9 @@ def replay(traj: Trajectory):
     """Yield (time, cfg) after each event, starting from (0, initial copy)."""
     cfg = traj.initial.copy()
     yield 0.0, cfg
-    table = cfg.shape.neighbor_table()
+    nbrs, w = neighbor_kernel(cfg.shape)
     for ev in traj.events:
-        delta = 1 if ev.new_value == 1 else -1
-        cfg.bits[ev.vertex] = ev.new_value
-        nbrs = table[ev.vertex] if table is not None else neighbors(cfg.shape, ev.vertex)
-        for y in nbrs:
-            cfg.ones_nbr[y] += delta
+        flip_and_count(cfg, ev.vertex, ev.new_value, nbrs(ev.vertex), w)
         yield ev.time, cfg
 
 

@@ -3,13 +3,23 @@
 Vertices are stored as flat indices in [0, r^d) using little-endian mixed
 radix: index = sum_i (x_i - 1) * r^(i-1).  Neighbor arithmetic works off
 per-dimension strides, so no adjacency table is required; a flat table is
-cached lazily for small tori because the event loop is much faster with it.
+cached lazily for small tori.
+
+The dynamics update counts through neighbor_kernel, which gives the
+*distinct* neighbors of a vertex and the number of neighbor slots w each
+one fills.  On r = 2 the up and down neighbor along dimension i coincide,
+so the d distinct neighbors are x ^ (1 << i), each with weight 2, computed
+by XOR with no table.  On r >= 3 all 2d neighbors are distinct (weight 1)
+and come from the cached table, or from neighbors() past its size limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 MAX_VERTICES = 2**31  # index-safety guard
 _TABLE_ENTRY_LIMIT = 2_000_000  # cache neighbor table only below this n*2d
@@ -38,18 +48,19 @@ class TorusShape:
     def degree(self) -> int:
         return 2 * self.d
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
+        # cached in the instance __dict__; eq and hash use only (d, r)
         return tuple(self.r**i for i in range(self.d))
 
     def neighbor_table(self):
-        """Flat list of neighbor tuples, or None when too large to cache."""
+        """(n, 2d) int64 array, row x = neighbors(x); None when too large to cache."""
         cached = _TABLE_CACHE.get((self.d, self.r))
         if cached is not None:
             return cached
         if self.n * self.degree > _TABLE_ENTRY_LIMIT:
             return None
-        table = [neighbors(self, x) for x in range(self.n)]
+        table = np.array([neighbors(self, x) for x in range(self.n)], dtype=np.int64)
         _TABLE_CACHE[(self.d, self.r)] = table
         return table
 
@@ -97,6 +108,22 @@ def neighbors(shape: TorusShape, x: int) -> tuple[int, ...]:
         out.append(up)
         out.append(down)
     return tuple(out)
+
+
+def neighbor_kernel(shape: TorusShape):
+    """(nbrs, w): nbrs(x) is an int64 array of the distinct neighbors of x, in
+    neighbors() order, and each of them fills w of x's 2d neighbor slots.
+
+    Counts move by w per distinct neighbor, so an array update
+    `ones_nbr[nbrs(x)] += w` equals one +1 per slot.
+    """
+    if shape.r == 2:
+        masks = np.array([1 << i for i in range(shape.d)], dtype=np.int64)
+        return (lambda x: x ^ masks), 2
+    table = shape.neighbor_table()
+    if table is not None:
+        return table.__getitem__, 1
+    return (lambda x: np.array(neighbors(shape, x), dtype=np.int64)), 1
 
 
 def shared_neighbors(shape: TorusShape, x: int, y: int) -> frozenset[int]:

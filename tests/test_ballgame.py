@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from torusvoter import ballgame
 from torusvoter.ballgame import (APPROACHES, MAX_JUMPS, BoxState,
                                  approach2_run, approach3_init, approach4_run,
                                  boxes_from_config, dominance_experiment,
@@ -196,6 +197,19 @@ class TestApproach4:
                           for _ in range(reps)])
         se = first.std(ddof=1) / math.sqrt(reps)
         assert abs(first.mean() - 0.02) < 3 * se
+
+    def test_jump_cap_counts_every_jump(self, monkeypatch):
+        # equal Gamma draws put jump j at about j/6000.5 of T, so 6000 jumps
+        # come before T: one block of 7168 draws holds them all
+        class EqualGammas:
+            def standard_gamma(self, shape, size):
+                return np.full(size, 10**12 / 6000.5)
+
+        monkeypatch.setattr(ballgame, "MAX_JUMPS", 6000)
+        assert len(approach4_run(10**12, 10, 0.3, 1.0, EqualGammas()).taus) == 6000
+        monkeypatch.setattr(ballgame, "MAX_JUMPS", 5999)
+        with pytest.raises(ValueError, match="more than 5999 jumps"):
+            approach4_run(10**12, 10, 0.3, 1.0, EqualGammas())
 
     def test_tau_ratio_moments(self):
         # tau_j / E[tau_j] ~ Gamma(m, 1)/m: mean 1, variance 1/m

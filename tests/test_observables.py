@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusvoter import observables
 from torusvoter.coupling import survival_times
 from torusvoter.observables import (EAccumulator, FractionObserver,
                                     NeighborHistogram, ObservableSeries,
@@ -113,6 +114,20 @@ class TestSupDeviation:
         # after the drop the fraction tracks below the curve; the sup is at t1-
         expected = max(p * (1 - math.exp(-t1)), v1 - p * math.exp(-T))
         assert sup_deviation(series, p, T) == pytest.approx(expected)
+
+    def test_fluid_once_per_breakpoint(self, monkeypatch):
+        calls = []
+
+        def counted(p, t):
+            calls.append(t)
+            return fluid(p, t)
+
+        times = [0.0, 0.3, 0.5, 1.1]
+        series = ObservableSeries(times, [0.3, 0.28, 0.25, 0.2], 2.0)
+        expected = sup_deviation(series, 0.3, 2.0)
+        monkeypatch.setattr(observables, "fluid", counted)
+        assert sup_deviation(series, 0.3, 2.0) == expected
+        assert calls == times + [2.0]
 
 
 class TestEAccumulator:

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusvoter import torus
 from torusvoter.torus import (TorusShape, all_coordinates, decode, encode,
-                              neighbors, shared_neighbors, two_hop_set)
+                              neighbor_kernel, neighbors, shared_neighbors,
+                              two_hop_set)
 
 
 def c(shape, *coords):
@@ -18,6 +20,12 @@ class TestShape:
         assert shape.n == 64
         assert shape.degree == 6
         assert shape.strides == (1, 4, 16)
+
+    def test_strides_cached_without_changing_identity(self):
+        shape = TorusShape(3, 4)
+        assert shape.strides is shape.strides
+        assert shape == TorusShape(3, 4)
+        assert hash(shape) == hash(TorusShape(3, 4))
 
     @pytest.mark.parametrize("d,r", [(0, 3), (2, 1), (40, 2)])
     def test_rejects_bad_shapes(self, d, r):
@@ -118,3 +126,19 @@ class TestTwoHop:
         for z in two_hop_set(shape, 0):
             assert shared_neighbors(shape, z, 0)
             assert z != 0
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("d,r", [(1, 2), (5, 2), (1, 3), (3, 3), (2, 5)])
+def test_neighbor_kernel_is_the_distinct_slots(d, r, cached, monkeypatch):
+    if not cached:
+        monkeypatch.setattr(torus, "_TABLE_ENTRY_LIMIT", 0)
+        monkeypatch.setattr(torus, "_TABLE_CACHE", {})
+    shape = TorusShape(d, r)
+    nbrs, w = neighbor_kernel(shape)
+    assert w == (2 if r == 2 else 1)
+    for x in range(shape.n):
+        slots = neighbors(shape, x)
+        distinct = nbrs(x)
+        assert distinct.tolist() == list(dict.fromkeys(slots))
+        assert sorted(distinct.tolist() * w) == sorted(slots)
