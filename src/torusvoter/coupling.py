@@ -64,10 +64,20 @@ class CoupledTrajectory:
         return ObservableSeries(times, values, self.horizon)
 
 
-def _check_domination(lower: Configuration, upper: Configuration):
-    if np.any(lower.bits > upper.bits):
-        x = int(np.nonzero(lower.bits > upper.bits)[0][0])
-        raise DominationError(f"lower({x}) = 1 > upper({x}) = 0")
+def _check_domination(lower: Configuration, upper: Configuration, x: int | None = None):
+    """lower <= upper at x, or at every vertex when x is None.
+
+    An event changes only bits[x], so the runs check x after each event and
+    scan every vertex once at the start and once at the end.
+    """
+    if x is None:
+        over = np.flatnonzero(lower.bits > upper.bits)
+        if over.size == 0:
+            return
+        x = int(over[0])
+    elif lower.bits[x] <= upper.bits[x]:
+        return
+    raise DominationError(f"lower({x}) = 1 > upper({x}) = 0")
 
 
 def _flip(cfg: Configuration, x: int, nbrs, w: int) -> int:
@@ -105,6 +115,8 @@ def _run_eta_zeta(upper, lower, T, rng, check):
             active.add(x)
     events: list[CoupledEvent] = []
     traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
+    if check:
+        _check_domination(lower, upper)
     t = 0.0
     while True:
         k = len(active)
@@ -124,7 +136,9 @@ def _run_eta_zeta(upper, lower, T, rng, check):
             else:
                 active.remove(y)
         if check:
-            _check_domination(lower, upper)
+            _check_domination(lower, upper, x)
+    if check:
+        _check_domination(lower, upper)
     return traj
 
 
@@ -162,6 +176,8 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
         sync(x)
     events: list[CoupledEvent] = []
     traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
+    if check:
+        _check_domination(lower, upper)
     t = 0.0
     while True:
         k = len(arms)
@@ -188,7 +204,9 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
         for y in (x, *nbrs.tolist()):
             sync(y)
         if check:
-            _check_domination(lower, upper)
+            _check_domination(lower, upper, x)
+    if check:
+        _check_domination(lower, upper)
     return traj
 
 

@@ -245,20 +245,21 @@ def _oracle_rows(spec: ExperimentSpec):
     consts = oracle.ldp_constants(p, spec.r) if 0 < p < 1 else None
     rows = []
     ctmc_ok = shape.n <= oracle.CTMC_MAX_VERTICES
-    init = None
+    start = p
     if spec.init_bits is not None:
         if not ctmc_ok:
             # a fixed initial state only makes sense for the exact solver
             raise oracle.CapacityError(
                 f"{shape.n} vertices means 2^{shape.n} states; "
                 f"limit is 2^{oracle.CTMC_MAX_VERTICES}")
-        init = spin.config_from_bits(shape, [int(c) for c in spec.init_bits])
+        start = spin.config_from_bits(shape, [int(c) for c in spec.init_bits])
+    # one uniformized series serves the whole grid
+    series = oracle.UniformizedSeries(shape, start) if ctmc_ok else None
     for t in grid:
         law = oracle.death_law(shape, p, float(t))
         fl = observables.fluid(p, float(t))
         if ctmc_ok:
-            mean = oracle.ctmc_mean_ones(shape, init if init is not None else p,
-                                         float(t))
+            mean = oracle.ctmc_mean_ones(shape, start, float(t), series=series)
             frac = mean / shape.n
             dev = abs(frac - fl)
         else:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln, logsumexp
 
-from .torus import TorusShape, neighbors, two_hop_set
+from .torus import TorusShape, neighbor_kernel, neighbors, two_hop_set
 
 CTMC_MAX_VERTICES = 20
 
@@ -207,10 +207,11 @@ def _state_tables(shape: TorusShape):
     bits = np.empty((n, size), dtype=np.int8)
     for x in range(n):
         bits[x] = (states >> x) & 1
+    nbrs_of, w = neighbor_kernel(shape)
     ones_nbr = np.zeros((n, size), dtype=np.int16)
     for x in range(n):
-        for y in neighbors(shape, x):
-            ones_nbr[x] += bits[y]
+        for y in nbrs_of(x).tolist():
+            ones_nbr[x] += w * bits[y]
     d = shape.d
     disagree = np.where(bits == 0, ones_nbr, 2 * d - ones_nbr)
     return bits, disagree >= d
@@ -232,49 +233,103 @@ def _uniformized_kernel(shape: TorusShape, active: np.ndarray) -> sparse.csr_mat
     return P + sparse.diags(diag)
 
 
-def ctmc_mean_ones(shape: TorusShape, initial, t: float, tol: float = 1e-10) -> float:
+def _check_capacity(shape: TorusShape) -> None:
+    if shape.n > CTMC_MAX_VERTICES:
+        raise CapacityError(f"{shape.n} vertices means 2^{shape.n} states; "
+                            f"limit is 2^{CTMC_MAX_VERTICES}")
+
+
+def _start_key(initial):
+    """("state", s) for a Configuration, ("density", p) for a density."""
+    if hasattr(initial, "bits"):
+        return "state", int(sum(int(b) << x for x, b in enumerate(initial.bits)))
+    p = float(initial)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {p}")
+    return "density", p
+
+
+class UniformizedSeries:
+    """The uniformized chain of one (shape, start), shared by every time t.
+
+    With P = I + Q/n, E|A_t| = sum_k Pois(k; n t) a_k, where
+    a_k = v_0 P^k . popcount does not depend on t.  The state tables and P
+    are built once; a_k is cached and the series extends by one matvec per
+    new k, so a grid of times costs the matvecs of its largest time.
+    """
+
+    def __init__(self, shape: TorusShape, initial):
+        _check_capacity(shape)
+        self.shape = shape
+        self.start = _start_key(initial)
+        n = shape.n
+        bits, active = _state_tables(shape)
+        self._popcount = bits.sum(axis=0).astype(float)
+        self._P = _uniformized_kernel(shape, active)
+        kind, value = self.start
+        if kind == "state":
+            v = np.zeros(1 << n)
+            v[value] = 1.0
+        else:
+            k = self._popcount
+            if value == 0.0:
+                v = (k == 0).astype(float)
+            elif value == 1.0:
+                v = (k == n).astype(float)
+            else:
+                v = np.exp(k * math.log(value) + (n - k) * math.log1p(-value))
+        self._v = v
+        self._a = [self._ones(v)]
+
+    def _ones(self, v: np.ndarray) -> float:
+        # numpy's pairwise sum, not a BLAS dot: its order, and so every
+        # output byte, does not depend on the BLAS thread count
+        return float(np.add.reduce(v * self._popcount))
+
+    def _term(self, k: int) -> float:
+        while len(self._a) <= k:
+            self._v = self._v @ self._P
+            self._a.append(self._ones(self._v))
+        return self._a[k]
+
+    def mean_ones(self, t: float, tol: float = 1e-10) -> float:
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        n = self.shape.n
+        lam_t = n * t
+        w = math.exp(-lam_t)
+        cum = w
+        total = w * self._term(0)
+        k = 0
+        # n bounds |A_t|, so remaining Poisson mass * n bounds the truncation error
+        while (1.0 - cum) * n > tol:
+            k += 1
+            w *= lam_t / k
+            cum += w
+            total += w * self._term(k)
+        return total
+
+
+def ctmc_mean_ones(shape: TorusShape, initial, t: float, tol: float = 1e-10, *,
+                   series: UniformizedSeries | None = None) -> float:
     """Exact E|A_t| for the voter model by uniformization over all 2^n states.
 
     initial may be a Configuration (delta start) or a density p in [0, 1]
-    (product-law start, handled by the product weights on states).
+    (product-law start, handled by the product weights on states).  A
+    series built for the same shape and start is reused; with none, a
+    fresh one is built.
     """
-    n = shape.n
-    if n > CTMC_MAX_VERTICES:
-        raise CapacityError(f"{n} vertices means 2^{n} states; limit is 2^{CTMC_MAX_VERTICES}")
+    _check_capacity(shape)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    bits, active = _state_tables(shape)
-    popcount = bits.sum(axis=0).astype(float)
-    size = 1 << n
-    if hasattr(initial, "bits"):
-        state = int(sum(int(b) << x for x, b in enumerate(initial.bits)))
-        v = np.zeros(size)
-        v[state] = 1.0
+    if series is None:
+        series = UniformizedSeries(shape, initial)
     else:
-        p = float(initial)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"density must lie in [0, 1], got {p}")
-        k = popcount
-        if p == 0.0:
-            v = (k == 0).astype(float)
-        elif p == 1.0:
-            v = (k == n).astype(float)
-        else:
-            v = np.exp(k * math.log(p) + (n - k) * math.log1p(-p))
-    P = _uniformized_kernel(shape, active)
-    lam_t = n * t
-    w = math.exp(-lam_t)
-    cum = w
-    total = w * float(v @ popcount)
-    k = 0
-    # n bounds |A_t|, so remaining Poisson mass * n bounds the truncation error
-    while (1.0 - cum) * n > tol:
-        k += 1
-        v = v @ P
-        w *= lam_t / k
-        cum += w
-        total += w * float(v @ popcount)
-    return total
+        start = _start_key(initial)
+        if (series.shape, series.start) != (shape, start):
+            raise ValueError(f"series was built for {series.shape} from "
+                             f"{series.start}, not {shape} from {start}")
+    return series.mean_ones(t, tol)
 
 
 def ldp_convergence(p: float, d_max: int):

@@ -41,6 +41,43 @@ class TestEtaZetaCoupling:
         with pytest.raises(ValueError):
             _run_eta_zeta(upper, lower, 1.0, rng(), True)
 
+    def test_final_scan_catches_violation_away_from_x(self, monkeypatch):
+        # one event: the lone 1 at vertex 0 dies in both marginals; a
+        # corruption at vertex 15 (no neighbor of 0) is left for the end scan
+        from torusvoter import coupling
+
+        shape = TorusShape(4, 2)
+        upper = config_from_bits(shape, [1] + [0] * 15)
+        lower = upper.copy()
+        real_flip, real_check = coupling._flip, coupling._check_domination
+        flips, checks = [], []
+
+        def corrupting_flip(cfg, x, nbrs, w):
+            flips.append(x)
+            lower.bits[15], upper.bits[15] = 1, 0
+            return real_flip(cfg, x, nbrs, w)
+
+        def spy(low, up, x=None):
+            checks.append(x)
+            real_check(low, up, x)
+        monkeypatch.setattr(coupling, "_flip", corrupting_flip)
+        monkeypatch.setattr(coupling, "_check_domination", spy)
+        with pytest.raises(DominationError, match=r"lower\(15\)"):
+            coupling._run_eta_zeta(upper, lower, 5.0, rng(), True)
+        assert flips == [0, 0]  # upper and lower flip at the one event
+        assert checks == [None, 0, None]  # start scan, event at x=0, end scan
+
+    def test_check_domination_per_vertex_and_full(self):
+        from torusvoter.coupling import _check_domination
+
+        shape = TorusShape(1, 4)
+        upper = config_from_bits(shape, [1, 0, 0, 1])
+        lower = config_from_bits(shape, [1, 0, 1, 1])
+        _check_domination(lower, upper, 3)  # vertex 2 is not looked at
+        for x in (2, None):
+            with pytest.raises(DominationError, match=r"lower\(2\)"):
+                _check_domination(lower, upper, x)
+
     def test_lower_marginal_is_exact_death_law(self):
         shape = TorusShape(6, 2)
         p, t, reps = 0.4, 1.0, 600

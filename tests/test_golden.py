@@ -1,12 +1,15 @@
-"""Golden outputs: rows.csv bytes of each Monte Carlo mode at pinned seeds.
+"""Golden outputs: rows.csv bytes of each mode at pinned seeds.
 
 The engine is an exact sampler whose speed-ups keep the RNG draw sequence,
 so these hashes must not move under an optimisation.  A change that alters
-the law or the draw order regenerates them and says why.  `oracle` is left
-out: its bytes depend on the BLAS thread count (see README).
+the law or the draw order regenerates them and says why.  The `oracle`
+bytes must also be the same at every BLAS thread count.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -41,15 +44,43 @@ GOLDEN = {
     "ballgame_d6": (
         dict(mode="ballgame", d=(6,), r=2, p=(0.3,), T=0.5, replicas=50, seed=17),
         "faacba843e68099ba5fd92e937dc3cb9c348b249b7d3767409d2386eebefd51f"),
+    "oracle_r4_d2": (
+        dict(mode="oracle", d=(2,), r=4, p=(0.3,), T=2.0, replicas=1, seed=19),
+        "092e96baa343a10ace283da685c8e60a393147393a522883d6e7018a8a7fb144"),
+    "oracle_r4_d2_delta": (
+        dict(mode="oracle", d=(2,), r=4, p=(0.3,), T=1.0, replicas=1, seed=20,
+             grid=5, init_bits="1100100000110010"),
+        "94553c724dfea23b0f17c64e0a711d681b0a8fa607e54acfc0ea6e7e4f5e19ea"),
 }
+ORACLE = sorted(name for name in GOLDEN if name.startswith("oracle"))
+
+
+def _digest(name, out_dir) -> str:
+    fields, _ = GOLDEN[name]
+    run_experiment(ExperimentSpec(out=str(out_dir), **fields))
+    return hashlib.sha256((out_dir / "rows.csv").read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_rows_csv_bytes(name, tmp_path):
-    fields, digest = GOLDEN[name]
-    run_experiment(ExperimentSpec(out=str(tmp_path), **fields))
-    rows = (tmp_path / "rows.csv").read_bytes()
-    assert hashlib.sha256(rows).hexdigest() == digest
+    assert _digest(name, tmp_path) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_oracle_bytes_ignore_blas_threads(threads, tmp_path):
+    """BLAS fixes its thread count at load, so each count runs in a fresh
+    interpreter; 2^16 states is large enough for BLAS to split a dot product."""
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    script = ("import pathlib, sys, test_golden as g\n"
+              "for name in g.ORACLE:\n"
+              "    out = pathlib.Path(sys.argv[1]) / name\n"
+              "    print(name, g._digest(name, out))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          cwd=os.path.dirname(__file__), capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.split() == [w for name in ORACLE for w in (name, GOLDEN[name][1])]
 
 
 def _slot_engine(cfg, kind, T, rng):

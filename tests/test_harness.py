@@ -160,6 +160,22 @@ class TestModes:
         assert s["var_C0"] > 0
         assert s["ldp"]["K"] == pytest.approx(-math.log(0.96), abs=1e-12)
 
+    @pytest.mark.parametrize("init_bits", [None, "110010100"])
+    def test_oracle_builds_one_kernel_per_spec(self, monkeypatch, init_bits):
+        from torusvoter import oracle
+
+        calls = {"_state_tables": 0, "_uniformized_kernel": 0}
+        for name in calls:
+            real = getattr(oracle, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        run_experiment(spec(mode="oracle", d=(2,), r=3, p=(0.4,), grid=9,
+                            init_bits=init_bits))
+        assert calls == {"_state_tables": 1, "_uniformized_kernel": 1}
+
     def test_ballgame_mode_writes_survival_rows(self, tmp_path):
         out = tmp_path / "bg"
         result = run_experiment(spec(mode="ballgame", d=(6,), r=2, p=(0.3,),

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from torusvoter.oracle import (CapacityError, binom_logtail, binom_tail,
-                               ctmc_mean_ones, death_law, exact_var_C0,
+from torusvoter import oracle
+from torusvoter.oracle import (CapacityError, UniformizedSeries, binom_logtail,
+                               binom_tail, ctmc_mean_ones, death_law, exact_var_C0,
                                expected_C0, expected_suffix_count,
                                joint_tail_C0, ldp_constants, ldp_convergence,
                                vertex_tail)
 from torusvoter.spin import config_from_bits
-from torusvoter.torus import TorusShape
+from torusvoter.torus import TorusShape, neighbors
 
 from bruteforce import enumerate_C0_moments, enumerate_suffix_count
 
@@ -214,3 +215,55 @@ class TestCtmcMeanOnes:
             ctmc_mean_ones(shape, 0.4, -1.0)
         with pytest.raises(ValueError):
             ctmc_mean_ones(shape, 1.4, 1.0)
+
+
+def _delta_start(shape):
+    return config_from_bits(shape, [int(x % 3 == 0) for x in range(shape.n)])
+
+
+class TestUniformizedSeries:
+    TIMES = {"ascending": (0.0, 0.25, 0.8, 2.0),
+             "descending": (2.0, 0.8, 0.25, 0.0),
+             "repeated": (0.8, 0.8, 0.25, 2.0, 0.25, 2.0)}
+
+    @pytest.mark.parametrize("d,r", [(3, 2), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("start", ["density", "delta"])
+    def test_matches_fresh_solve_bitwise(self, d, r, start):
+        shape = TorusShape(d, r)
+        init = 0.3 if start == "density" else _delta_start(shape)
+        fresh = {t: ctmc_mean_ones(shape, init, t) for t in self.TIMES["ascending"]}
+        for times in self.TIMES.values():
+            series = UniformizedSeries(shape, init)
+            for t in times:
+                assert series.mean_ones(t) == fresh[t]
+                assert ctmc_mean_ones(shape, init, t, series=series) == fresh[t]
+
+    def test_rejects_other_shape_or_start(self):
+        shape = TorusShape(2, 3)
+        series = UniformizedSeries(shape, 0.3)
+        for other_shape, other_init in ((TorusShape(3, 2), 0.3), (shape, 0.4),
+                                        (shape, _delta_start(shape))):
+            with pytest.raises(ValueError, match="series was built for"):
+                ctmc_mean_ones(other_shape, other_init, 1.0, series=series)
+        delta = UniformizedSeries(shape, _delta_start(shape))
+        with pytest.raises(ValueError, match="series was built for"):
+            ctmc_mean_ones(shape, config_from_bits(shape, [1] + [0] * 8), 1.0,
+                           series=delta)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(CapacityError):
+            UniformizedSeries(TorusShape(5, 3), 0.4)
+        with pytest.raises(ValueError):
+            UniformizedSeries(TorusShape(1, 3), 1.4)
+        with pytest.raises(ValueError):
+            UniformizedSeries(TorusShape(1, 3), 0.4).mean_ones(-1.0)
+
+    @pytest.mark.parametrize("d,r", [(3, 2), (2, 3), (1, 5)])
+    def test_state_tables_match_slot_counts(self, d, r):
+        # one +1 per neighbor slot, r=2 counting each distinct neighbor twice
+        shape = TorusShape(d, r)
+        bits, active = oracle._state_tables(shape)
+        ones = np.array([sum(bits[y].astype(int) for y in neighbors(shape, x))
+                         for x in range(shape.n)])
+        disagree = np.where(bits == 0, ones, 2 * d - ones)
+        assert np.array_equal(active, disagree >= d)
