@@ -14,6 +14,15 @@ can accumulate in boxes d..2d:
    simulated (approach4_run).
 
 Here p0 = 1/4 + p/2, sitting strictly between p and 1/2.
+
+The dominance experiment draws its replicas in batches.  Initial
+configurations come as (replicas, n) blocks with their box histograms.  The
+upper mass of processes 2 and 3 follows a sequence fixed by the initial
+boxes, so those run as one exact jump chain over all replicas
+(rightward_counts) that draws only the holding times; process 4 takes one
+vector NegBin draw at m = 1 (single_box_counts).  The path samplers
+approach2_run, rightward_move, approach4_run and single_box_count remain as
+the references these are tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import EAccumulator, ObservableSeries, neighbor_histogram
-from .spin import THRESHOLD, _exp_variate, flip_and_count, sample_product, run
+from .spin import (THRESHOLD, Configuration, _exp_variate, flip_and_count, run,
+                   sample_product_batch)
 from .torus import TorusShape, neighbor_kernel
 
 
@@ -113,6 +123,49 @@ def rightward_move(box: BoxState, rng: np.random.Generator) -> None:
             counts[2 * d] += 1
 
 
+def rightward_move_rows(left: np.ndarray) -> np.ndarray:
+    """rightward_move on many left regions at once: rows of b_0..b_{d-1}.
+
+    Updates `left` in place and returns the balls each row moves into box
+    d.  The top-up of b_2d is left out, since it only moves balls among
+    boxes d..2d and so never changes the upper mass.
+    """
+    need = 2 * left.shape[1]
+    total = left.sum(axis=1)
+    above = total[:, None] - np.cumsum(left, axis=1)  # balls in boxes k+1..d-1
+    drain = (total >= need)[:, None]
+    # drain: box k gives what the boxes above it leave of the 2d; shift: all
+    moved = np.where(drain, np.minimum(left, np.maximum(need - above, 0)), left)
+    left -= moved
+    left[:, 1:] += moved[:, :-1]
+    return moved[:, -1]
+
+
+def rightward_counts(counts: np.ndarray, T: float, rng: np.random.Generator) -> np.ndarray:
+    """C_hat_T of the rightward-only process from each row of box counts.
+
+    Exact in law with approach2_run.  The left region moves by fixed
+    arithmetic, so the upper masses u_0 <= u_1 <= ... are fixed by the
+    initial boxes and only the holding times are random: move j waits
+    Exp(u_j).  Each move draws one standard_exponential block over the
+    replicas still live.  A replica retires when its clock passes T, its
+    left region is empty, or its upper mass is 0.
+    """
+    d = (counts.shape[1] - 1) // 2
+    left = counts[:, :d].copy()
+    upper = counts[:, d:].sum(axis=1)
+    clock = np.zeros(len(counts))
+    live = np.flatnonzero((upper > 0) & left.any(axis=1))
+    while live.size:
+        clock[live] += rng.standard_exponential(live.size) / upper[live]
+        live = live[clock[live] < T]
+        rows = left[live]
+        upper[live] += rightward_move_rows(rows)
+        left[live] = rows
+        live = live[rows.any(axis=1)]
+    return upper
+
+
 def approach2_run(box: BoxState, T: float, rng: np.random.Generator) -> ObservableSeries:
     """C_hat_t series: moves at rate C_hat_t, never moving balls left."""
     if T <= 0:
@@ -145,15 +198,20 @@ def p_zero(p: float) -> float:
     return 0.25 + p / 2.0
 
 
+def lump_boxes(counts: np.ndarray, p: float) -> np.ndarray:
+    """Copy of box counts (last axis b_0..b_2d) with boxes
+    floor(2d*p0)..d-1 lumped into b_d."""
+    d = (counts.shape[-1] - 1) // 2
+    lo = math.floor(2 * d * p_zero(p))
+    out = counts.copy()
+    out[..., d] += out[..., lo:d].sum(axis=-1)
+    out[..., lo:d] = 0
+    return out
+
+
 def approach3_init(box: BoxState, p: float) -> BoxState:
     """Lump boxes floor(2d*p0)..d-1 into b_d; evolution then follows approach 2."""
-    d = box.d
-    lo = math.floor(2 * d * p_zero(p))
-    out = box.copy()
-    moved = int(out.counts[lo:d].sum())
-    out.counts[lo:d] = 0
-    out.counts[d] += moved
-    return out
+    return BoxState(lump_boxes(box.counts, p))
 
 
 def step_count(d: int, p: float) -> int:
@@ -248,6 +306,36 @@ def single_box_count(I0: int, d: int, p: float, T: float,
     return I0 + 2 * d * jumps
 
 
+def single_box_counts(I0: np.ndarray, d: int, p: float, T: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """single_box_count for every entry of I0.
+
+    At m = 1 the entries with I0 > 0 share one vector NegBin draw, and
+    I0 = 0 draws nothing; the MAX_JUMPS and numpy-refusal errors are those
+    of single_box_count.  At m > 1 each entry calls single_box_count.
+    """
+    if T <= 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    m = step_count(d, p)
+    if m > 1:
+        return np.array([single_box_count(int(i), d, p, T, rng) for i in I0],
+                        dtype=np.int64)
+    out = np.zeros(len(I0), dtype=np.int64)
+    occupied = I0 > 0
+    start = I0[occupied]
+    if start.size == 0:
+        return out
+    try:
+        jumps = rng.negative_binomial(start / (2 * d), math.exp(-2 * d * T))
+    except ValueError:  # numpy: "n too large or p too small", or p underflows
+        raise _too_many_jumps(int(start.max()), d, m, T) from None
+    over = jumps > MAX_JUMPS
+    if over.any():
+        raise _too_many_jumps(int(start[over][0]), d, m, T)
+    out[occupied] = start + 2 * d * jumps
+    return out
+
+
 APPROACHES = ("E_T", "C_hat", "C_bar", "C_tilde")
 
 
@@ -272,44 +360,58 @@ class DominanceReport:
                        float(self.stderr[name][i]), self.replicas)
 
 
+BLOCK_SLOTS = 2 ** 22  # vertex slots per block of replicas: memory is O(block)
+
+
+def _initial_blocks(shape, p, replicas, rng):
+    """(bits, ones_nbr) of `replicas` product configurations, drawn in
+    blocks of at most BLOCK_SLOTS vertex slots."""
+    size = max(1, BLOCK_SLOTS // shape.n)
+    for start in range(0, replicas, size):
+        yield sample_product_batch(shape, p, min(size, replicas - start), rng)
+
+
+def box_histograms(ones_nbr: np.ndarray, d: int) -> np.ndarray:
+    """Row i: the 2d+1 box counts of the configuration with sums ones_nbr[i]."""
+    rows, width = ones_nbr.shape[0], 2 * d + 1
+    offset = ones_nbr + width * np.arange(rows)[:, None]
+    return np.bincount(offset.ravel(), minlength=rows * width).reshape(rows, width)
+
+
+def _initial_boxes(shape, p, replicas, rng):
+    """Box histograms of `replicas` product configurations, block by block."""
+    for _, ones_nbr in _initial_blocks(shape, p, replicas, rng):
+        yield box_histograms(ones_nbr, shape.d)
+
+
 def _sample_E_T(shape, p, T, replicas, rng):
     out = np.empty(replicas, dtype=np.int64)
-    for i in range(replicas):
-        cfg = sample_product(shape, p, rng)
-        acc = EAccumulator()
-        run(cfg, THRESHOLD, T, rng, observers=(acc,))
-        out[i] = acc.size
+    i = 0
+    for bits, ones_nbr in _initial_blocks(shape, p, replicas, rng):
+        for row_bits, row_nbr in zip(bits, ones_nbr):
+            acc = EAccumulator()
+            run(Configuration(shape, row_bits, row_nbr), THRESHOLD, T, rng,
+                observers=(acc,))
+            out[i] = acc.size
+            i += 1
     return out
 
 
 def _sample_C_hat(shape, p, T, replicas, rng):
-    out = np.empty(replicas, dtype=np.int64)
-    for i in range(replicas):
-        cfg = sample_product(shape, p, rng)
-        series = approach2_run(boxes_from_config(cfg), T, rng)
-        out[i] = int(series.values[-1])
-    return out
+    return np.concatenate([rightward_counts(boxes, T, rng)
+                           for boxes in _initial_boxes(shape, p, replicas, rng)])
 
 
 def _sample_C_bar(shape, p, T, replicas, rng):
-    out = np.empty(replicas, dtype=np.int64)
-    for i in range(replicas):
-        cfg = sample_product(shape, p, rng)
-        box = approach3_init(boxes_from_config(cfg), p)
-        series = approach2_run(box, T, rng)
-        out[i] = int(series.values[-1])
-    return out
+    return np.concatenate([rightward_counts(lump_boxes(boxes, p), T, rng)
+                           for boxes in _initial_boxes(shape, p, replicas, rng)])
 
 
 def _sample_C_tilde(shape, p, T, replicas, rng):
     d = shape.d
     lo = math.floor(2 * d * p_zero(p))
-    out = np.empty(replicas, dtype=np.int64)
-    for i in range(replicas):
-        cfg = sample_product(shape, p, rng)
-        I0 = neighbor_histogram(cfg).suffix(lo)
-        out[i] = single_box_count(I0, d, p, T, rng)
-    return out
+    return np.concatenate([single_box_counts(boxes[:, lo:].sum(axis=1), d, p, T, rng)
+                           for boxes in _initial_boxes(shape, p, replicas, rng)])
 
 
 def dominance_experiment(shape: TorusShape, p: float, T: float, replicas: int,

@@ -9,6 +9,7 @@ process.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from scipy.special import gammaln, logsumexp
 from .torus import TorusShape, neighbor_kernel, neighbors, two_hop_set
 
 CTMC_MAX_VERTICES = 20
+MAX_MATVECS = 10_000  # Poisson terms per uniformized series; E[terms] = n t
 
 
 class CapacityError(Exception):
@@ -293,21 +295,65 @@ class UniformizedSeries:
         return self._a[k]
 
     def mean_ones(self, t: float, tol: float = 1e-10) -> float:
+        """E|A_t| to within tol; ValueError past MAX_MATVECS Poisson terms."""
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         n = self.shape.n
         lam_t = n * t
         w = math.exp(-lam_t)
+        if w < sys.float_info.min:
+            # e^{-nt} is subnormal or 0: too few digits to start the recursion
+            return self._mean_ones_from_mode(t, tol)
         cum = w
         total = w * self._term(0)
         k = 0
         # n bounds |A_t|, so remaining Poisson mass * n bounds the truncation error
         while (1.0 - cum) * n > tol:
             k += 1
+            if k > MAX_MATVECS:
+                raise _too_many_terms(t, n)
             w *= lam_t / k
             cum += w
             total += w * self._term(k)
         return total
+
+    def _mean_ones_from_mode(self, t: float, tol: float) -> float:
+        """The Poisson(nt) sum with weights relative to the mode (Fox & Glynn
+        1988, "Computing Poisson probabilities", CACM 31(4)).
+
+        Past the left and right truncation points the weights fall faster
+        than a geometric series of ratio q < 1, so w q/(1 - q) bounds each
+        dropped tail; both stop below tol/(2n) of the weight kept.
+        """
+        n = self.shape.n
+        lam = n * t
+        mode = math.floor(lam)
+        if mode > MAX_MATVECS:
+            raise _too_many_terms(t, n)
+        cut = tol / (2 * n)
+        total = 1.0
+        below, w, k = [], 1.0, mode  # w_{mode-1}, w_{mode-2}, ... / w_mode
+        while k > 0 and not (k < lam and w * k / (lam - k) <= cut * total):
+            w *= k / lam
+            k -= 1
+            below.append(w)
+            total += w
+        above, w, k = [], 1.0, mode  # w_{mode+1}, w_{mode+2}, ... / w_mode
+        while w * lam / (k + 1 - lam) > cut * total:
+            if k >= MAX_MATVECS:
+                raise _too_many_terms(t, n)
+            w *= lam / (k + 1)
+            k += 1
+            above.append(w)
+            total += w
+        first = mode - len(below)
+        weights = below[::-1] + [1.0] + above
+        return sum(w * self._term(first + i) for i, w in enumerate(weights)) / total
+
+
+def _too_many_terms(t: float, n: int) -> ValueError:
+    return ValueError(f"t={t} needs more than {MAX_MATVECS} uniformization "
+                      f"steps at n={n} (about n*t); shorten the horizon")
 
 
 def ctmc_mean_ones(shape: TorusShape, initial, t: float, tol: float = 1e-10, *,

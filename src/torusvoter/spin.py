@@ -84,12 +84,17 @@ class CountMismatchError(Exception):
 
 
 def build_ones_nbr(shape: TorusShape, bits: np.ndarray) -> np.ndarray:
-    """Neighbor-sum array via axis rolls (multiplicity 2 per dim when r=2)."""
-    grid = bits.reshape((shape.r,) * shape.d).astype(np.int32)
+    """Neighbor-sum array via axis rolls (multiplicity 2 per dim when r=2).
+
+    bits may carry leading batch axes: (..., n) bits give (..., n) sums,
+    each row summed on its own torus.
+    """
+    lead = bits.shape[:-1]
+    grid = bits.reshape(lead + (shape.r,) * shape.d).astype(np.int32)
     total = np.zeros_like(grid)
-    for axis in range(shape.d):
+    for axis in range(len(lead), grid.ndim):
         total += np.roll(grid, 1, axis=axis) + np.roll(grid, -1, axis=axis)
-    return total.reshape(shape.n)
+    return total.reshape(lead + (shape.n,))
 
 
 def config_from_bits(shape: TorusShape, bits) -> Configuration:
@@ -103,6 +108,19 @@ def sample_product(shape: TorusShape, p: float, rng: np.random.Generator) -> Con
         raise ValueError(f"density must lie in [0, 1], got {p}")
     bits = (rng.random(shape.n) < p).astype(np.uint8)
     return Configuration(shape, bits, build_ones_nbr(shape, bits))
+
+
+def sample_product_batch(shape: TorusShape, p: float, replicas: int,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Bits and neighbor sums of `replicas` i.i.d. Bernoulli(p) configurations.
+
+    Both arrays are (replicas, n); row i is what the i-th of `replicas`
+    successive sample_product calls would draw.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {p}")
+    bits = (rng.random((replicas, shape.n)) < p).astype(np.uint8)
+    return bits, build_ones_nbr(shape, bits)
 
 
 def threshold_rate(cfg: Configuration, x: int) -> int:

@@ -7,13 +7,16 @@ from scipy.stats import ks_2samp
 from torusvoter import ballgame
 from torusvoter.ballgame import (APPROACHES, MAX_JUMPS, BoxState,
                                  approach2_run, approach3_init, approach4_run,
-                                 boxes_from_config, dominance_experiment,
-                                 p_zero, replay_boxes, rightward_move,
-                                 single_box_count, step_count)
+                                 box_histograms, boxes_from_config,
+                                 dominance_experiment, lump_boxes, p_zero,
+                                 replay_boxes, rightward_counts, rightward_move,
+                                 rightward_move_rows, single_box_count,
+                                 single_box_counts, step_count)
 from torusvoter.observables import neighbor_histogram
-from torusvoter.spin import (THRESHOLD, RngStream, config_from_bits, run,
-                             sample_product)
-from torusvoter.torus import TorusShape
+from torusvoter.spin import (THRESHOLD, RngStream, build_ones_nbr,
+                             config_from_bits, run, sample_product,
+                             sample_product_batch)
+from torusvoter.torus import TorusShape, neighbors
 
 
 def rng(seed=0, stream=0):
@@ -59,7 +62,6 @@ class TestReplay:
             live = traj.initial.copy()
             for (t, b), pair in zip(states[1:], traj.events):
                 live.bits[pair.vertex] = pair.new_value
-                from torusvoter.spin import build_ones_nbr
                 live.ones_nbr[:] = build_ones_nbr(live.shape, live.bits)
                 expect = neighbor_histogram(live).counts
                 assert list(b.counts) == list(expect)
@@ -288,3 +290,195 @@ class TestDominance:
             assert s[0] >= s[-1]  # survival functions decrease in M
         rows = list(report.rows())
         assert len(rows) == 4 * len(report.M_grid)
+
+
+class TestBatchedInitialBoxes:
+    @pytest.mark.parametrize("d,r", [(5, 2), (3, 3), (2, 5)])
+    def test_neighbor_sums_match_row_by_row(self, d, r):
+        shape = TorusShape(d, r)
+        bits = (rng(30, r).random((7, shape.n)) < 0.4).astype(np.uint8)
+        batched = build_ones_nbr(shape, bits)
+        assert batched.shape == bits.shape
+        for row_bits, row in zip(bits, batched):
+            assert np.array_equal(row, build_ones_nbr(shape, row_bits))
+            slots = [sum(int(row_bits[y]) for y in neighbors(shape, x))
+                     for x in range(shape.n)]  # one term per neighbor slot
+            assert list(row) == slots
+
+    def test_rows_are_successive_product_draws(self):
+        shape = TorusShape(4, 3)
+        g, h = rng(31), rng(31)
+        bits, ones_nbr = sample_product_batch(shape, 0.3, 6, g)
+        for row_bits, row_nbr in zip(bits, ones_nbr):
+            cfg = sample_product(shape, 0.3, h)
+            assert np.array_equal(row_bits, cfg.bits)
+            assert np.array_equal(row_nbr, cfg.ones_nbr)
+        assert g.random() == h.random()
+
+    @pytest.mark.parametrize("d,r", [(6, 2), (3, 3)])
+    def test_histograms_match_boxes_from_config(self, d, r):
+        shape = TorusShape(d, r)
+        bits, ones_nbr = sample_product_batch(shape, 0.4, 9, rng(32, d))
+        hist = box_histograms(ones_nbr, d)
+        for row_bits, row in zip(bits, hist):
+            assert np.array_equal(row, boxes_from_config(config_from_bits(shape, row_bits)).counts)
+
+    def test_blocks_split_one_draw(self, monkeypatch):
+        shape = TorusShape(4, 2)
+        whole, _ = sample_product_batch(shape, 0.3, 7, rng(33))
+        monkeypatch.setattr(ballgame, "BLOCK_SLOTS", 3 * shape.n + 1)
+        blocks = list(ballgame._initial_blocks(shape, 0.3, 7, rng(33)))
+        assert [len(b) for b, _ in blocks] == [3, 3, 1]
+        assert np.array_equal(np.concatenate([b for b, _ in blocks]), whole)
+
+    def test_lump_rows_match_approach3_init(self):
+        counts = rng(34).integers(0, 9, size=(20, 17))  # d=8
+        lumped = lump_boxes(counts, 0.3)
+        for row, out in zip(counts, lumped):
+            assert np.array_equal(out, approach3_init(box(row), 0.3).counts)
+
+
+class ConstantClock:
+    """Every holding time is the same unit exponential c = -log1p(-u), for
+    both approach2_run (random()) and the chain (standard_exponential);
+    the top-up draws of rightward_move go to a real generator."""
+
+    def __init__(self, u, seed):
+        self.u, self.g = u, rng(seed)
+
+    def random(self):
+        return self.u
+
+    def standard_exponential(self, size):
+        return np.full(size, -math.log1p(-self.u))
+
+    def choice(self, *args, **kwargs):
+        return self.g.choice(*args, **kwargs)
+
+
+def _initial_boxes(d, replicas, seed):
+    shape = TorusShape(d, 2)
+    _, ones_nbr = sample_product_batch(shape, 0.3, replicas, rng(seed))
+    return box_histograms(ones_nbr, d)
+
+
+class TestRightwardChain:
+    @pytest.mark.parametrize("counts", [[1, 5, 0, 9, 2], [2, 3, 0, 0, 0],
+                                        [1, 2, 0, 3, 1], [0, 5, 0, 9, 2],
+                                        [0, 0, 0, 7, 1]])
+    def test_move_rows_match_rightward_move(self, counts):
+        b = box(counts)
+        before = b.upper_mass
+        rightward_move(b, rng(35))
+        left = np.array([counts[:2]], dtype=np.int64)
+        gained = rightward_move_rows(left)
+        assert list(left[0]) == list(b.counts[:2])
+        assert int(gained[0]) == b.upper_mass - before
+
+    def test_upper_mass_sequence_fixed_by_initial_boxes(self):
+        # repeated rightward_move under two seeds against the batched move:
+        # the upper masses agree move for move, through both branches
+        d = 8
+        boxes = _initial_boxes(d, 40, 36)
+        boxes = boxes[boxes[:, d:].sum(axis=1) > 0]
+        left = boxes[:, :d].copy()
+        upper = boxes[:, d:].sum(axis=1)
+        batched = [upper.copy()]
+        while left.any():
+            upper = upper + rightward_move_rows(left)
+            batched.append(upper.copy())
+        branches = set()
+        for seed in (37, 38):
+            g = rng(seed)
+            for i, counts in enumerate(boxes):
+                b = box(counts.copy())
+                masses = [b.upper_mass]
+                while b.counts[:d].any():
+                    branches.add(int(b.counts[:d].sum()) >= 2 * d)
+                    rightward_move(b, g)
+                    masses.append(b.upper_mass)
+                steps = len(masses)
+                assert masses == [int(u[i]) for u in batched[:steps]]
+                assert all(int(u[i]) == masses[-1] for u in batched[steps:])
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("u,T", [(0.3, 0.5), (0.9, 1.0), (0.6, 0.5), (0.99, 0.5)])
+    def test_chain_matches_path_under_constant_clock(self, u, T):
+        # (0.3, 0.5) lets nearly every row drain its left region; at
+        # (0.99, 0.5) the clock stops every row, after 1 to 18 moves
+        boxes = np.vstack([_initial_boxes(8, 30, 39),
+                           [[3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]])
+        for counts in (boxes, lump_boxes(boxes, 0.3)):
+            got = rightward_counts(counts, T, ConstantClock(u, 40))
+            want = [approach2_run(box(row), T, ConstantClock(u, 41)).values[-1]
+                    for row in counts]
+            assert list(got) == want
+
+    def test_frozen_rows_draw_nothing(self):
+        # no upper mass: rate 0; empty left region: nothing left to move
+        counts = np.array([[3, 4, 0, 0, 0], [0, 0, 2, 1, 3]], dtype=np.int64)
+        g, twin = rng(42), rng(42)
+        assert list(rightward_counts(counts, 5.0, g)) == [0, 6]
+        assert g.random() == twin.random()
+
+
+class TestSingleBoxCounts:
+    @pytest.mark.parametrize("d", [8, 10])  # m = 1 and m = 2 at p = 0.3
+    def test_matches_scalar_draw_for_draw(self, d):
+        I0 = np.array([3, 0, 17, 40, 1, 0, 9])
+        g, h = rng(43, d), rng(43, d)
+        got = single_box_counts(I0, d, 0.3, 0.5, g)
+        assert list(got) == [single_box_count(int(i), d, 0.3, 0.5, h) for i in I0]
+        assert g.random() == h.random()
+
+    def test_zero_starts_draw_nothing(self):
+        g, twin = rng(44), rng(44)
+        assert list(single_box_counts(np.zeros(5, dtype=np.int64), 8, 0.3, 0.5, g)) == [0] * 5
+        assert g.random() == twin.random()
+
+    def test_jump_cap_kept(self):
+        msg = f"more than {MAX_JUMPS} jumps"
+        I0 = np.array([40, 0, 12])
+        for T in (3.0, 40.0, 70.0):  # too many jumps, numpy refuses, underflow
+            with pytest.raises(ValueError, match=msg):
+                single_box_counts(I0, 6, 0.3, T, rng(45))
+        with pytest.raises(ValueError, match=msg):
+            ballgame._sample_C_tilde(TorusShape(6, 2), 0.3, 3.0, 5, rng(45))
+
+    def test_rejects_bad_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            single_box_counts(np.array([5]), 8, 0.3, 0.0, rng())
+
+
+def _path_samples(shape, p, T, replicas, g, process):
+    """The per-replica path samplers the batched ones replace."""
+    lo = math.floor(2 * shape.d * p_zero(p))
+    out = []
+    for _ in range(replicas):
+        cfg = sample_product(shape, p, g)
+        if process == "C_tilde":
+            out.append(single_box_count(neighbor_histogram(cfg).suffix(lo),
+                                        shape.d, p, T, g))
+            continue
+        b = boxes_from_config(cfg)
+        if process == "C_bar":
+            b = approach3_init(b, p)
+        out.append(approach2_run(b, T, g).values[-1])
+    return np.array(out)
+
+
+@pytest.mark.slow
+class TestBatchedLaw:
+    """Two-sample KS at alpha = 0.01 against the path samplers at the
+    acceptance point d=8, p=0.3, T=0.5."""
+
+    SIZES = {"C_hat": (3000, 30000), "C_bar": (1000, 10000), "C_tilde": (2000, 20000)}
+
+    @pytest.mark.parametrize("process", ["C_hat", "C_bar", "C_tilde"])
+    def test_matches_path_sampler(self, process):
+        shape, p, T = TorusShape(8, 2), 0.3, 0.5
+        n_path, n_batch = self.SIZES[process]
+        path = _path_samples(shape, p, T, n_path, rng(46, n_path), process)
+        batched = getattr(ballgame, f"_sample_{process}")(shape, p, T, n_batch,
+                                                           rng(47, n_batch))
+        assert ks_2samp(path, batched).pvalue > 0.01

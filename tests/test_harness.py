@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -248,6 +250,23 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("validation error:")
         assert "jumps" in err and "Traceback" not in err
+
+    def test_oracle_past_poisson_underflow(self):
+        # n*T = 760: e^{-nT} underflows; runs in a fresh interpreter under a
+        # timeout so that a hang fails
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        cmd = [sys.executable, "-m", "torusvoter.cli", "oracle", "--d", "1",
+               "--r", "4", "--p", "0.4"]
+        ok = subprocess.run(cmd + ["--T", "190"], env=env, capture_output=True,
+                            text=True, timeout=60)
+        assert ok.returncode == 0, ok.stderr
+        assert "mode=oracle" in ok.stdout
+        capped = subprocess.run(cmd + ["--T", "1e6"], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert capped.returncode == 2
+        assert capped.stderr.startswith("validation error:")
+        assert "uniformization steps" in capped.stderr
+        assert "Traceback" not in capped.stderr
 
     def test_oracle_large_torus_degrades_gracefully(self):
         result = run_experiment(spec(mode="oracle", d=(5,), r=3, p=(0.4,)))

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -215,6 +218,61 @@ class TestCtmcMeanOnes:
             ctmc_mean_ones(shape, 0.4, -1.0)
         with pytest.raises(ValueError):
             ctmc_mean_ones(shape, 1.4, 1.0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the body after `seconds`, so a hang fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestUnderflowedPoissonStart:
+    """n*t past about 708: e^{-nt} is no longer a normal float."""
+
+    def test_returns_after_absorption(self):
+        # the 4-vertex chain has absorbed long before t = 180
+        shape = TorusShape(1, 4)
+        with _deadline(20):
+            start = time.perf_counter()
+            late = ctmc_mean_ones(shape, 0.4, 190.0)
+            elapsed = time.perf_counter() - start
+            early = ctmc_mean_ones(shape, 0.4, 180.0)
+        assert elapsed < 1.0
+        assert abs(late - early) <= 1e-10
+
+    def test_agrees_with_recursion_below_switch(self):
+        # t = 170: n*t = 680 still starts the recursion at e^{-680}
+        shape = TorusShape(1, 4)
+        series = UniformizedSeries(shape, 0.4)
+        with _deadline(20):
+            assert abs(series.mean_ones(170.0) - series.mean_ones(190.0)) <= 1e-10
+        shape = TorusShape(2, 3)
+        series = UniformizedSeries(shape, 0.3)
+        for t in (0.5, 2.0, 20.0):
+            assert abs(series._mean_ones_from_mode(t, 1e-10)
+                       - series.mean_ones(t)) <= 1e-10
+
+    def test_term_cap(self, monkeypatch):
+        shape = TorusShape(1, 4)
+        with _deadline(20), pytest.raises(ValueError, match="uniformization steps"):
+            ctmc_mean_ones(shape, 0.4, 1e6)  # refused before any matvec
+        monkeypatch.setattr(oracle, "MAX_MATVECS", 950)
+        # right truncation points: 906 terms at t = 180, 996 at t = 200
+        assert ctmc_mean_ones(shape, 0.4, 180.0) == pytest.approx(1.664, abs=1e-9)
+        with _deadline(20), pytest.raises(ValueError, match="more than 950"):
+            ctmc_mean_ones(shape, 0.4, 200.0)
+        monkeypatch.setattr(oracle, "MAX_MATVECS", 10)
+        with pytest.raises(ValueError, match="more than 10"):
+            ctmc_mean_ones(shape, 0.4, 5.0)  # the recursion needs 56 terms
 
 
 def _delta_start(shape):
