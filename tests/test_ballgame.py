@@ -356,7 +356,7 @@ class ConstantClock:
         return self.g.choice(*args, **kwargs)
 
 
-def _initial_boxes(d, replicas, seed):
+def _sampled_boxes(d, replicas, seed):
     shape = TorusShape(d, 2)
     _, ones_nbr = sample_product_batch(shape, 0.3, replicas, rng(seed))
     return box_histograms(ones_nbr, d)
@@ -379,7 +379,7 @@ class TestRightwardChain:
         # repeated rightward_move under two seeds against the batched move:
         # the upper masses agree move for move, through both branches
         d = 8
-        boxes = _initial_boxes(d, 40, 36)
+        boxes = _sampled_boxes(d, 40, 36)
         boxes = boxes[boxes[:, d:].sum(axis=1) > 0]
         left = boxes[:, :d].copy()
         upper = boxes[:, d:].sum(axis=1)
@@ -406,7 +406,7 @@ class TestRightwardChain:
     def test_chain_matches_path_under_constant_clock(self, u, T):
         # (0.3, 0.5) lets nearly every row drain its left region; at
         # (0.99, 0.5) the clock stops every row, after 1 to 18 moves
-        boxes = np.vstack([_initial_boxes(8, 30, 39),
+        boxes = np.vstack([_sampled_boxes(8, 30, 39),
                            [[3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]])
         for counts in (boxes, lump_boxes(boxes, 0.3)):
             got = rightward_counts(counts, T, ConstantClock(u, 40))
