@@ -16,13 +16,14 @@ can accumulate in boxes d..2d:
 Here p0 = 1/4 + p/2, sitting strictly between p and 1/2.
 
 The dominance experiment draws its replicas in batches.  Initial
-configurations come as (replicas, n) blocks with their box histograms.  The
-upper mass of processes 2 and 3 follows a sequence fixed by the initial
-boxes, so those run as one exact jump chain over all replicas
-(rightward_counts) that draws only the holding times; process 4 takes one
-vector NegBin draw at m = 1 (single_box_counts).  The path samplers
-approach2_run, rightward_move, approach4_run and single_box_count remain as
-the references these are tested against.
+configurations come in (replicas, n) blocks of at most BLOCK_SLOTS vertex
+slots, and only their box histograms are kept.  The upper mass of processes
+2 and 3 follows a sequence fixed by the initial boxes, so those run as one
+exact jump chain over all replicas (rightward_counts) that draws only the
+holding times; process 4 takes one vector NegBin draw at m = 1
+(single_box_counts).  The path samplers approach2_run, rightward_move,
+approach4_run and single_box_count remain as the references these are
+tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import EAccumulator, ObservableSeries, neighbor_histogram
+from .observables import (EAccumulator, ObservableSeries, neighbor_histogram,
+                          neighbor_histograms)
 from .spin import (THRESHOLD, Configuration, _exp_variate, flip_and_count, run,
                    sample_product_batch)
 from .torus import TorusShape, neighbor_kernel
@@ -360,28 +362,25 @@ class DominanceReport:
                        float(self.stderr[name][i]), self.replicas)
 
 
-BLOCK_SLOTS = 2 ** 22  # vertex slots per block of replicas: memory is O(block)
+# Vertex slots per block of initial configurations.  2^16 is one d=16
+# configuration, so from d=16 up a block holds what sample_product would.
+BLOCK_SLOTS = 2 ** 16
 
 
 def _initial_blocks(shape, p, replicas, rng):
     """(bits, ones_nbr) of `replicas` product configurations, drawn in
-    blocks of at most BLOCK_SLOTS vertex slots."""
+    blocks of at most BLOCK_SLOTS vertex slots (one configuration if n is
+    larger)."""
     size = max(1, BLOCK_SLOTS // shape.n)
     for start in range(0, replicas, size):
         yield sample_product_batch(shape, p, min(size, replicas - start), rng)
 
 
-def box_histograms(ones_nbr: np.ndarray, d: int) -> np.ndarray:
-    """Row i: the 2d+1 box counts of the configuration with sums ones_nbr[i]."""
-    rows, width = ones_nbr.shape[0], 2 * d + 1
-    offset = ones_nbr + width * np.arange(rows)[:, None]
-    return np.bincount(offset.ravel(), minlength=rows * width).reshape(rows, width)
-
-
 def _initial_boxes(shape, p, replicas, rng):
-    """Box histograms of `replicas` product configurations, block by block."""
-    for _, ones_nbr in _initial_blocks(shape, p, replicas, rng):
-        yield box_histograms(ones_nbr, shape.d)
+    """(replicas, 2d+1) box histograms of product configurations; only one
+    block of configurations is held at a time."""
+    return np.concatenate([neighbor_histograms(ones_nbr, shape.d)
+                           for _, ones_nbr in _initial_blocks(shape, p, replicas, rng)])
 
 
 def _sample_E_T(shape, p, T, replicas, rng):
@@ -398,20 +397,18 @@ def _sample_E_T(shape, p, T, replicas, rng):
 
 
 def _sample_C_hat(shape, p, T, replicas, rng):
-    return np.concatenate([rightward_counts(boxes, T, rng)
-                           for boxes in _initial_boxes(shape, p, replicas, rng)])
+    return rightward_counts(_initial_boxes(shape, p, replicas, rng), T, rng)
 
 
 def _sample_C_bar(shape, p, T, replicas, rng):
-    return np.concatenate([rightward_counts(lump_boxes(boxes, p), T, rng)
-                           for boxes in _initial_boxes(shape, p, replicas, rng)])
+    return rightward_counts(lump_boxes(_initial_boxes(shape, p, replicas, rng), p), T, rng)
 
 
 def _sample_C_tilde(shape, p, T, replicas, rng):
     d = shape.d
     lo = math.floor(2 * d * p_zero(p))
-    return np.concatenate([single_box_counts(boxes[:, lo:].sum(axis=1), d, p, T, rng)
-                           for boxes in _initial_boxes(shape, p, replicas, rng)])
+    I0 = _initial_boxes(shape, p, replicas, rng)[:, lo:].sum(axis=1)
+    return single_box_counts(I0, d, p, T, rng)
 
 
 def dominance_experiment(shape: TorusShape, p: float, T: float, replicas: int,

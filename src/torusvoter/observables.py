@@ -69,8 +69,16 @@ class NeighborHistogram:
 
 
 def neighbor_histogram(cfg: Configuration) -> NeighborHistogram:
-    counts = np.bincount(cfg.ones_nbr, minlength=2 * cfg.shape.d + 1)
-    return NeighborHistogram(counts.astype(np.int64))
+    return NeighborHistogram(neighbor_histograms(cfg.ones_nbr[None], cfg.shape.d)[0])
+
+
+def neighbor_histograms(ones_nbr: np.ndarray, d: int) -> np.ndarray:
+    """Row i: the 2d+1 histogram counts of the neighbor sums ones_nbr[i],
+    from one offset bincount over all rows."""
+    rows, width = ones_nbr.shape[0], 2 * d + 1
+    offset = ones_nbr + width * np.arange(rows)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=rows * width)
+    return counts.reshape(rows, width).astype(np.int64, copy=False)
 
 
 def fluid(p: float, t: float) -> float:

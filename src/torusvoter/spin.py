@@ -104,10 +104,8 @@ def config_from_bits(shape: TorusShape, bits) -> Configuration:
 
 def sample_product(shape: TorusShape, p: float, rng: np.random.Generator) -> Configuration:
     """I.i.d. Bernoulli(p) configuration."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {p}")
-    bits = (rng.random(shape.n) < p).astype(np.uint8)
-    return Configuration(shape, bits, build_ones_nbr(shape, bits))
+    bits, ones_nbr = sample_product_batch(shape, p, 1, rng)
+    return Configuration(shape, bits[0], ones_nbr[0])
 
 
 def sample_product_batch(shape: TorusShape, p: float, replicas: int,

@@ -7,12 +7,12 @@ from scipy.stats import ks_2samp
 from torusvoter import ballgame
 from torusvoter.ballgame import (APPROACHES, MAX_JUMPS, BoxState,
                                  approach2_run, approach3_init, approach4_run,
-                                 box_histograms, boxes_from_config,
+                                 boxes_from_config,
                                  dominance_experiment, lump_boxes, p_zero,
                                  replay_boxes, rightward_counts, rightward_move,
                                  rightward_move_rows, single_box_count,
                                  single_box_counts, step_count)
-from torusvoter.observables import neighbor_histogram
+from torusvoter.observables import neighbor_histogram, neighbor_histograms
 from torusvoter.spin import (THRESHOLD, RngStream, build_ones_nbr,
                              config_from_bits, run, sample_product,
                              sample_product_batch)
@@ -319,7 +319,7 @@ class TestBatchedInitialBoxes:
     def test_histograms_match_boxes_from_config(self, d, r):
         shape = TorusShape(d, r)
         bits, ones_nbr = sample_product_batch(shape, 0.4, 9, rng(32, d))
-        hist = box_histograms(ones_nbr, d)
+        hist = neighbor_histograms(ones_nbr, d)
         for row_bits, row in zip(bits, hist):
             assert np.array_equal(row, boxes_from_config(config_from_bits(shape, row_bits)).counts)
 
@@ -330,6 +330,14 @@ class TestBatchedInitialBoxes:
         blocks = list(ballgame._initial_blocks(shape, 0.3, 7, rng(33)))
         assert [len(b) for b, _ in blocks] == [3, 3, 1]
         assert np.array_equal(np.concatenate([b for b, _ in blocks]), whole)
+
+    @pytest.mark.parametrize("name", ["C_hat", "C_bar", "C_tilde"])
+    def test_block_size_leaves_samples_unchanged(self, name, monkeypatch):
+        shape = TorusShape(6, 2)
+        sampler = getattr(ballgame, "_sample_" + name)
+        whole = sampler(shape, 0.3, 0.5, 40, rng(35))
+        monkeypatch.setattr(ballgame, "BLOCK_SLOTS", 3 * shape.n)
+        assert np.array_equal(sampler(shape, 0.3, 0.5, 40, rng(35)), whole)
 
     def test_lump_rows_match_approach3_init(self):
         counts = rng(34).integers(0, 9, size=(20, 17))  # d=8
@@ -359,7 +367,7 @@ class ConstantClock:
 def _sampled_boxes(d, replicas, seed):
     shape = TorusShape(d, 2)
     _, ones_nbr = sample_product_batch(shape, 0.3, replicas, rng(seed))
-    return box_histograms(ones_nbr, d)
+    return neighbor_histograms(ones_nbr, d)
 
 
 class TestRightwardChain:
@@ -469,15 +477,19 @@ def _path_samples(shape, p, T, replicas, g, process):
 
 @pytest.mark.slow
 class TestBatchedLaw:
-    """Two-sample KS at alpha = 0.01 against the path samplers at the
-    acceptance point d=8, p=0.3, T=0.5."""
+    """Two-sample KS at alpha = 0.01 against the path samplers at d=8,
+    p=0.3.  At T=0.5 most rows drain their left region before the clock
+    stops them; at T=0.1 nearly all are stopped by the clock, so there a
+    wrong move count or holding rate shifts the law."""
 
-    SIZES = {"C_hat": (3000, 30000), "C_bar": (1000, 10000), "C_tilde": (2000, 20000)}
+    SIZES = {("C_hat", 0.5): (3000, 30000), ("C_bar", 0.5): (1000, 10000),
+             ("C_tilde", 0.5): (2000, 20000), ("C_hat", 0.1): (10000, 100000),
+             ("C_bar", 0.1): (10000, 100000), ("C_tilde", 0.1): (10000, 100000)}
 
-    @pytest.mark.parametrize("process", ["C_hat", "C_bar", "C_tilde"])
-    def test_matches_path_sampler(self, process):
-        shape, p, T = TorusShape(8, 2), 0.3, 0.5
-        n_path, n_batch = self.SIZES[process]
+    @pytest.mark.parametrize("process,T", list(SIZES))
+    def test_matches_path_sampler(self, process, T):
+        shape, p = TorusShape(8, 2), 0.3
+        n_path, n_batch = self.SIZES[process, T]
         path = _path_samples(shape, p, T, n_path, rng(46, n_path), process)
         batched = getattr(ballgame, f"_sample_{process}")(shape, p, T, n_batch,
                                                            rng(47, n_batch))
