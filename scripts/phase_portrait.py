@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from torusvoter.observables import FractionObserver, fluid
+from torusvoter.observables import fluid, fraction_series
 from torusvoter.spin import THRESHOLD, RngStream, run, sample_product
 from torusvoter.torus import TorusShape
 
@@ -38,9 +38,7 @@ def main():
         for i in range(args.replicas):
             rng = RngStream(args.seed, (k, i)).generator()
             cfg = sample_product(shape, p, rng)
-            obs = FractionObserver()
-            run(cfg, THRESHOLD, args.T, rng, observers=(obs,))
-            series = obs.series()
+            series = fraction_series(run(cfg, THRESHOLD, args.T, rng))
             fracs[i] = [series.value_at(float(t)) for t in grid]
         sim = "".join(f"{v:9.4f}" for v in fracs.mean(axis=0))
         fl = "".join(f"{fluid(p, float(t)):9.4f}" for t in grid)

@@ -6,7 +6,7 @@ from .spin import (Configuration, FlipEvent, RngStream, Trajectory,
                    sample_product, threshold_rate, death_rate, run,
                    verify_counts, THRESHOLD, DEATH)
 from .observables import (ObservableSeries, classify, neighbor_histogram,
-                          fluid, fluid_in_scope, sup_deviation)
+                          fluid, fluid_in_scope, fraction_series, sup_deviation)
 from .coupling import (coupled_run_eta_zeta, coupled_run_monotone,
                        survival_times, DominationError)
 from .oracle import (binom_tail, ldp_constants, expected_C0,

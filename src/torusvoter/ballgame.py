@@ -37,7 +37,7 @@ from .observables import (EAccumulator, ObservableSeries, neighbor_histogram,
                           neighbor_histograms)
 from .spin import (THRESHOLD, Configuration, _exp_variate, flip_and_count, run,
                    sample_product_batch)
-from .torus import TorusShape, neighbor_kernel
+from .torus import TorusShape, neighbor_lists
 
 
 @dataclass
@@ -71,20 +71,21 @@ def replay_boxes(traj):
     """Yield (time, BoxState) along a trajectory, moving balls per flip.
 
     A flip at x moves the ball of each distinct neighbor of x by its slot
-    weight w (torus.neighbor_kernel): right on a 0->1 flip, left on a 1->0
+    weight w (torus.neighbor_lists): right on a 0->1 flip, left on a 1->0
     flip.  Matches boxes_from_config of the replayed configuration at every
     event (tested).
     """
     cfg = traj.initial.copy()
     box = boxes_from_config(cfg)
     yield 0.0, box.copy()
-    nbrs_of, w = neighbor_kernel(cfg.shape)
+    nbrs_of, w = neighbor_lists(cfg.shape)
+    bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
     for ev in traj.events:
         nbrs = nbrs_of(ev.vertex)
         k = cfg.ones_nbr[nbrs]
         np.subtract.at(box.counts, k, 1)
         np.add.at(box.counts, k + (w if ev.new_value == 1 else -w), 1)
-        flip_and_count(cfg, ev.vertex, ev.new_value, nbrs, w)
+        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs, w)
         yield ev.time, box.copy()
 
 

@@ -12,6 +12,9 @@ Two couplings are provided:
   marginals flip together whenever both rates are 1); discordant sites
   (lower 0, upper 1) get two independent sub-clocks so the order-breaking
   simultaneous flip to (1, 0) never happens.
+
+Both runs read and write the marginals through memoryviews and take the
+threshold rate from the rows of spin.rate_table, as the engine does.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import ObservableSeries
-from .spin import (Configuration, Trajectory, _IndexedSet, _exp_variate,
-                   build_ones_nbr, flip_and_count, sample_product, threshold_rate)
-from .torus import TorusShape, neighbor_kernel
+from .spin import (THRESHOLD, Configuration, Trajectory, _IndexedSet, _exp_variate,
+                   build_ones_nbr, flip_and_count, rate_rows, rate_table,
+                   sample_product)
+from .torus import TorusShape, neighbor_lists
 
 
 class DominationError(AssertionError):
@@ -80,8 +84,18 @@ def _check_domination(lower: Configuration, upper: Configuration, x: int | None 
     raise DominationError(f"lower({x}) = 1 > upper({x}) = 0")
 
 
-def _flip(cfg: Configuration, x: int, nbrs, w: int) -> int:
-    return flip_and_count(cfg, x, 1 - int(cfg.bits[x]), nbrs, w)
+def _views(cfg: Configuration):
+    """(bits, ones_nbr) memoryviews of a marginal's live arrays."""
+    return memoryview(cfg.bits), memoryview(cfg.ones_nbr)
+
+
+def _flip(views, x: int, nbrs, w: int) -> int:
+    bits, ones = views
+    return flip_and_count(bits, ones, x, 1 - bits[x], nbrs, w)
+
+
+def _threshold_rates(cfg: Configuration) -> np.ndarray:
+    return rate_table(cfg.shape.d, THRESHOLD)[cfg.bits, cfg.ones_nbr].astype(bool)
 
 
 def coupled_run_eta_zeta(shape: TorusShape, p: float, T: float,
@@ -104,15 +118,14 @@ def _run_eta_zeta(upper, lower, T, rng, check):
     shape = upper.shape
     if not np.array_equal(upper.bits, lower.bits):
         raise ValueError("coupled start requires identical initial states")
-    nbrs_of, w = neighbor_kernel(shape)
-
-    def in_union(x):
-        return lower.bits[x] == 1 or threshold_rate(upper, x) == 1
-
-    active = _IndexedSet(shape.n)
-    for x in range(shape.n):
-        if in_union(x):
-            active.add(x)
+    nbrs_of, w = neighbor_lists(shape)
+    rates = rate_rows(shape.d, THRESHOLD)
+    upper_v, lower_v = _views(upper), _views(lower)
+    (ub, uo), (lb, lo) = upper_v, lower_v
+    # ascending vertex order, as adding them one by one would give
+    union = (lower.bits == 1) | _threshold_rates(upper)
+    active = _IndexedSet(shape.n, np.flatnonzero(union).tolist())
+    pos = active.pos
     events: list[CoupledEvent] = []
     traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
     if check:
@@ -127,13 +140,14 @@ def _run_eta_zeta(upper, lower, T, rng, check):
             break
         x = active.items[int(rng.integers(k))]
         nbrs = nbrs_of(x)
-        upper_new = _flip(upper, x, nbrs, w) if threshold_rate(upper, x) else None
-        lower_new = _flip(lower, x, nbrs, w) if lower.bits[x] == 1 else None
+        upper_new = _flip(upper_v, x, nbrs, w) if rates[ub[x]][uo[x]] else None
+        lower_new = _flip(lower_v, x, nbrs, w) if lb[x] == 1 else None
         events.append(CoupledEvent(t, x, upper_new, lower_new))
-        for y in (x, *nbrs.tolist()):
-            if in_union(y):
-                active.add(y)
-            else:
+        for y in (x, *nbrs):
+            if lb[y] == 1 or rates[ub[y]][uo[y]]:
+                if pos[y] < 0:
+                    active.add(y)
+            elif pos[y] >= 0:
                 active.remove(y)
         if check:
             _check_domination(lower, upper, x)
@@ -158,22 +172,23 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     u = rng.random(shape.n)
     lower = _config(shape, u < p1)
     upper = _config(shape, u < p2)
-    nbrs_of, w = neighbor_kernel(shape)
+    nbrs_of, w = neighbor_lists(shape)
+    rates = rate_rows(shape.d, THRESHOLD)
+    upper_v, lower_v = _views(upper), _views(lower)
+    (ub, uo), (lb, lo) = upper_v, lower_v
 
     # arm encoding: 2x   = shared clock (concordant) or lower sub-clock,
-    #               2x+1 = upper sub-clock (discordant only)
-    arms = _IndexedSet(2 * shape.n)
-
-    def sync(x):
-        rl, ru = threshold_rate(lower, x), threshold_rate(upper, x)
-        concordant = lower.bits[x] == upper.bits[x]
-        want0 = (rl or ru) if concordant else bool(rl)
-        want1 = bool(ru) and not concordant
-        (arms.add if want0 else arms.remove)(2 * x)
-        (arms.add if want1 else arms.remove)(2 * x + 1)
-
-    for x in range(shape.n):
-        sync(x)
+    #               2x+1 = upper sub-clock (discordant only).
+    # Arm 2x is wanted when the lower rate is 1, or the upper one at a
+    # concordant site; arm 2x+1 when the upper rate is 1 at a discordant one.
+    rl, ru = _threshold_rates(lower), _threshold_rates(upper)
+    concordant = lower.bits == upper.bits
+    wanted = np.empty(2 * shape.n, dtype=bool)
+    wanted[0::2] = rl | (ru & concordant)
+    wanted[1::2] = ru & ~concordant
+    # ascending arm order, as syncing the vertices one by one would give
+    arms = _IndexedSet(2 * shape.n, np.flatnonzero(wanted).tolist())
+    pos = arms.pos
     events: list[CoupledEvent] = []
     traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
     if check:
@@ -190,19 +205,33 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
         x, sub = arm >> 1, arm & 1
         nbrs = nbrs_of(x)
         upper_new = lower_new = None
-        if lower.bits[x] == upper.bits[x]:
+        if lb[x] == ub[x]:
             # shared clock: each marginal flips iff its own rate is 1
-            if threshold_rate(lower, x):
-                lower_new = _flip(lower, x, nbrs, w)
-            if threshold_rate(upper, x):
-                upper_new = _flip(upper, x, nbrs, w)
+            if rates[lb[x]][lo[x]]:
+                lower_new = _flip(lower_v, x, nbrs, w)
+            if rates[ub[x]][uo[x]]:
+                upper_new = _flip(upper_v, x, nbrs, w)
         elif sub == 0:
-            lower_new = _flip(lower, x, nbrs, w)  # discordant 0 -> 1
+            lower_new = _flip(lower_v, x, nbrs, w)  # discordant 0 -> 1
         else:
-            upper_new = _flip(upper, x, nbrs, w)  # discordant 1 -> 0
+            upper_new = _flip(upper_v, x, nbrs, w)  # discordant 1 -> 0
         events.append(CoupledEvent(t, x, upper_new, lower_new))
-        for y in (x, *nbrs.tolist()):
-            sync(y)
+        for y in (x, *nbrs):
+            want0, want1 = rates[lb[y]][lo[y]], rates[ub[y]][uo[y]]
+            if lb[y] == ub[y]:  # concordant: one shared arm
+                want0, want1 = want0 or want1, 0
+            arm = 2 * y
+            if want0:
+                if pos[arm] < 0:
+                    arms.add(arm)
+            elif pos[arm] >= 0:
+                arms.remove(arm)
+            arm += 1
+            if want1:
+                if pos[arm] < 0:
+                    arms.add(arm)
+            elif pos[arm] >= 0:
+                arms.remove(arm)
         if check:
             _check_domination(lower, upper, x)
     if check:

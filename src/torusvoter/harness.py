@@ -111,9 +111,7 @@ def _simulate_rows(spec: ExperimentSpec):
     for i in range(spec.replicas):
         rng = RngStream(spec.seed, i).generator()
         cfg = _initial_config(spec, shape, rng)
-        obs = observables.FractionObserver()
-        spin.run(cfg, THRESHOLD, spec.T, rng, observers=(obs,))
-        series = obs.series()
+        series = observables.fraction_series(spin.run(cfg, THRESHOLD, spec.T, rng))
         sup = observables.sup_deviation(series, p, spec.T)
         sup_devs.append(sup)
         for j, t in enumerate(grid):
@@ -198,14 +196,14 @@ def _sweep_rows(spec: ExperimentSpec):
         for i in range(spec.replicas):
             rng = RngStream(spec.seed, (di, i)).generator()
             cfg = spin.sample_product(shape, p, rng)
-            obs = observables.FractionObserver()
             acc = observables.EAccumulator()
-            spin.run(cfg, THRESHOLD, spec.T, rng, observers=(obs, acc))
-            sup = observables.sup_deviation(obs.series(), p, spec.T)
+            traj = spin.run(cfg, THRESHOLD, spec.T, rng, observers=(acc,))
+            series = observables.fraction_series(traj)
+            sup = observables.sup_deviation(series, p, spec.T)
             sup_devs.append(sup)
             mean_E.append(acc.size / shape.n)
             rows.append(["sweep", di, spec.r, p, i, spec.T,
-                         obs.series().value_at(spec.T),
+                         series.value_at(spec.T),
                          observables.fluid(p, spec.T), sup, mean_E[-1]])
         sup_devs = np.asarray(sup_devs)
         per_d.append({"d": di,

@@ -81,21 +81,22 @@ def neighbor_histograms(ones_nbr: np.ndarray, d: int) -> np.ndarray:
     return counts.reshape(rows, width).astype(np.int64, copy=False)
 
 
-def fluid(p: float, t: float) -> float:
+def fluid(p: float, t):
     """Limit curve of the ones-fraction: pe^{-t} below 1/2, 1-(1-p)e^{-t} above.
 
-    The high-dimension convergence guarantee excludes p = 1/2; there the
-    symmetry mean 1/2 is returned (see fluid_in_scope).
+    t may be a scalar or an array.  The high-dimension convergence
+    guarantee excludes p = 1/2; there the symmetry mean 1/2 is returned
+    (see fluid_in_scope).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {p}")
-    if t < 0:
+    if np.any(np.less(t, 0)):
         raise ValueError(f"time must be nonnegative, got {t}")
     if p < 0.5:
         return p * np.exp(-t)
     if p > 0.5:
         return 1.0 - (1.0 - p) * np.exp(-t)
-    return 0.5
+    return np.full(np.shape(t), 0.5) if np.ndim(t) else 0.5
 
 
 def fluid_in_scope(p: float) -> bool:
@@ -108,22 +109,34 @@ def sup_deviation(series: ObservableSeries, p: float, T: float) -> float:
 
     The fraction is constant on each inter-event interval and the fluid
     curve is monotone in t, so the sup on an interval is attained at one of
-    its endpoints.  The series must already be normalized by r^d.
+    its endpoints.  The series must already be normalized by r^d.  One
+    fluid call covers every breakpoint up to T, plus the end of the last
+    interval (the next breakpoint, capped at T).
     """
-    best = 0.0
-    times = series.times
-    values = series.values
-    f0 = fluid(p, times[0]) if times else 0.0
-    for i, v in enumerate(values):
-        if times[i] > T:
-            break
-        t1 = min(times[i + 1], T) if i + 1 < len(times) else T
-        f1 = fluid(p, t1)
-        dev = max(abs(v - f0), abs(v - f1))
-        if dev > best:
-            best = dev
-        f0 = f1  # fluid at times[i + 1], unless that lies past T and ends the loop
-    return best
+    times = np.asarray(series.times, dtype=float)
+    past = np.flatnonzero(times > T)
+    m = min(int(past[0]) if past.size else times.size, len(series.values))
+    if m == 0:
+        return 0.0
+    end = min(times[m], T) if m < times.size else T
+    f = fluid(p, np.append(times[:m], end))
+    v = np.asarray(series.values[:m], dtype=float)
+    dev = np.maximum(np.abs(v - f[:-1]), np.abs(v - f[1:]))
+    return float(np.max(dev, initial=0.0, where=dev > 0.0))
+
+
+def fraction_series(traj) -> ObservableSeries:
+    """The ones-fraction series of a spin.Trajectory, built after the run.
+
+    Equal to what FractionObserver records: the same integer counts, moved
+    by +-1 per event, over the same n.
+    """
+    n = traj.initial.shape.n
+    new = np.fromiter((ev.new_value for ev in traj.events), np.int64, len(traj.events))
+    start = traj.initial.ones_count()
+    counts = start + np.cumsum(2 * new - 1)
+    return ObservableSeries([0.0] + [ev.time for ev in traj.events],
+                            [start / n] + (counts / n).tolist(), traj.horizon)
 
 
 class FractionObserver:
@@ -157,11 +170,13 @@ class EAccumulator:
 
     A vertex joins E the first instant its ones-neighbor count reaches d
     (including t = 0).  A flip at x only changes the counts of x's
-    neighbors, so only those are rechecked per event.
+    neighbors, so only those are rechecked per event, one scalar read
+    each through the engine's views.
     """
 
     def __init__(self):
         self.in_E = None
+        self._in_view = None
         self.times: list[float] = []
         self.sizes: list[int] = []
         self._size = 0
@@ -172,16 +187,20 @@ class EAccumulator:
         d = cfg.shape.d
         if self.in_E is None:
             self.in_E = cfg.ones_nbr >= d
+            self._in_view = memoryview(self.in_E)
             self._size = int(self.in_E.sum())
             self.times.append(0.0)
             self.sizes.append(self._size)
             return
         if event is not None:
-            nbrs = engine.neighbors(event.vertex)
-            fresh = nbrs[~self.in_E[nbrs] & (cfg.ones_nbr[nbrs] >= d)]
-            if fresh.size:
-                self.in_E[fresh] = True
-                self._size += int(fresh.size)
+            in_E, ones = self._in_view, engine.ones_view
+            fresh = 0
+            for y in engine.neighbors(event.vertex):
+                if not in_E[y] and ones[y] >= d:
+                    in_E[y] = True
+                    fresh += 1
+            if fresh:
+                self._size += fresh
                 self.times.append(time)
                 self.sizes.append(self._size)
         self._horizon = max(self._horizon, time)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln, logsumexp
 
-from .torus import TorusShape, neighbor_kernel, neighbors, two_hop_set
+from .torus import TorusShape, neighbor_lists, neighbors, two_hop_set
 
 CTMC_MAX_VERTICES = 20
 MAX_MATVECS = 10_000  # Poisson terms per uniformized series; E[terms] = n t
@@ -209,10 +209,10 @@ def _state_tables(shape: TorusShape):
     bits = np.empty((n, size), dtype=np.int8)
     for x in range(n):
         bits[x] = (states >> x) & 1
-    nbrs_of, w = neighbor_kernel(shape)
+    nbrs_of, w = neighbor_lists(shape)
     ones_nbr = np.zeros((n, size), dtype=np.int16)
     for x in range(n):
-        for y in nbrs_of(x).tolist():
+        for y in nbrs_of(x):
             ones_nbr[x] += w * bits[y]
     d = shape.d
     disagree = np.where(bits == 0, ones_nbr, 2 * d - ones_nbr)

@@ -9,9 +9,16 @@ Two dynamics share one engine, both with 0/1 flip rates:
 The engine samples the next event from Exp(|active set|) and picks the
 vertex uniformly over the active set, which is exactly the law of
 independent unit-rate Poisson clocks with conditional flips (thinning).
-A flip adds w to the one-count of each distinct neighbor in one array
-update (torus.neighbor_kernel: w = 2 on r = 2, 1 otherwise), then looks up
-the rates of x and its neighbors in rate_table.  A "naive" variant rings every vertex at rate 1 and rejects rate-0 rings;
+
+Per event the work is scalar: the state arrays are read and written
+through memoryviews taken once per run, since a memoryview item access
+costs a fraction of a numpy scalar one.  flip_and_count sets x and adds
++-w to the count of each distinct neighbor in torus.neighbor_lists(x)
+(w = 2 on r = 2, 1 otherwise); the rates of x and its neighbors are then
+read from the two rows of rate_table as Python lists.  The numpy arrays
+stay the live state, so observers and verify_counts see every flip.
+
+A "naive" variant rings every vertex at rate 1 and rejects rate-0 rings;
 it is slower but exposes every clock ring, which the survival-time
 diagnostics need.
 """
@@ -20,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .torus import TorusShape, neighbor_kernel
+from .torus import TorusShape, neighbor_lists
 
 THRESHOLD = "threshold"
 DEATH = "death"
@@ -178,8 +186,8 @@ class _IndexedSet:
             self.pos[x] = -1
 
 
-def rate_table(d: int, kind: str) -> np.ndarray:
-    """table[b, k]: flip rate (0 or 1) of a vertex holding b with k one-neighbors."""
+@cache
+def _rates(d: int, kind: str):
     k = np.arange(2 * d + 1)
     if kind == THRESHOLD:  # k neighbors disagree with a 0, 2d - k with a 1
         rows = (k >= d, 2 * d - k >= d)
@@ -187,16 +195,35 @@ def rate_table(d: int, kind: str) -> np.ndarray:
         rows = (k < 0, k >= 0)
     else:
         raise ValueError(f"unknown dynamics kind {kind!r}")
-    return np.array(rows, dtype=np.uint8)
+    table = np.array(rows, dtype=np.uint8)
+    table.flags.writeable = False
+    return table, tuple(table.tolist())
 
 
-def flip_and_count(cfg: Configuration, x: int, new: int, nbrs, w: int) -> int:
-    """Set x to `new` and move the count of each distinct neighbor by w.
+def rate_table(d: int, kind: str) -> np.ndarray:
+    """table[b, k]: flip rate (0 or 1) of a vertex holding b with k one-neighbors.
 
-    nbrs and w come from torus.neighbor_kernel; returns new.
+    Built once per (d, kind) and read-only.
     """
-    cfg.bits[x] = new
-    cfg.ones_nbr[nbrs] += w if new == 1 else -w
+    return _rates(d, kind)[0]
+
+
+def rate_rows(d: int, kind: str) -> tuple[list[int], list[int]]:
+    """The two rows of rate_table(d, kind) as Python lists: rows[b][k]."""
+    return _rates(d, kind)[1]
+
+
+def flip_and_count(bits, ones_nbr, x: int, new: int, nbrs, w: int) -> int:
+    """Set bits[x] to `new` and move ones_nbr of each distinct neighbor by w.
+
+    bits and ones_nbr are memoryviews of a Configuration's arrays; nbrs
+    and w come from torus.neighbor_lists.  Returns new.
+    """
+    bits[x] = new
+    if new != 1:
+        w = -w
+    for y in nbrs:
+        ones_nbr[y] += w
     return new
 
 
@@ -214,40 +241,43 @@ class EventEngine:
         if record_rings and not naive:
             raise ValueError("ring recording requires the naive variant")
         shape = cfg.shape
-        self._rates = rate_table(shape.d, kind)
+        self._rates = rate_rows(shape.d, kind)
         self.cfg = cfg
+        # views of the live arrays: scalar reads and writes go through these
+        self.bits_view = memoryview(cfg.bits)
+        self.ones_view = memoryview(cfg.ones_nbr)
         self.kind = kind
         self.rng = rng
         self.naive = naive
         self.time = 0.0
         self._n = shape.n
-        self._nbrs, self._w = neighbor_kernel(shape)
+        self._nbrs, self._w = neighbor_lists(shape)
         self.first_ring = [math.inf] * shape.n if record_rings else None
         # ascending vertex order, as adding them one by one would give
-        active = np.flatnonzero(self._rates[cfg.bits, cfg.ones_nbr])
+        active = np.flatnonzero(rate_table(shape.d, kind)[cfg.bits, cfg.ones_nbr])
         self.active = _IndexedSet(shape.n, active.tolist())
 
-    def neighbors(self, x) -> np.ndarray:
+    def neighbors(self, x) -> list[int]:
         """The distinct neighbors of x (each one is w of its 2d slots)."""
         return self._nbrs(x)
 
     def _apply_flip(self, x) -> int:
         """Flip x, update neighbor counts and the active set; return new value."""
-        cfg = self.cfg
+        bits, ones = self.bits_view, self.ones_view
         nbrs = self._nbrs(x)
-        new = flip_and_count(cfg, x, 1 - int(cfg.bits[x]), nbrs, self._w)
+        new = flip_and_count(bits, ones, x, 1 - bits[x], nbrs, self._w)
         if not self.naive:
             # walk x and its neighbors in set order: the order of adds and
             # removes fixes active.items, and with it every later draw
-            touched = set(nbrs.tolist())
+            touched = set(nbrs)
             touched.add(x)
-            order = np.fromiter(touched, np.int64, len(touched))
-            rates = self._rates[cfg.bits[order], cfg.ones_nbr[order]]
+            rates = self._rates
             active = self.active
             pos = active.pos
-            for y, on in zip(order.tolist(), rates.tolist()):
-                if on:
-                    active.add(y)
+            for y in touched:
+                if rates[bits[y]][ones[y]]:
+                    if pos[y] < 0:
+                        active.add(y)
                 elif pos[y] >= 0:
                     active.remove(y)
         return new
@@ -257,7 +287,7 @@ class EventEngine:
         rng = self.rng
         if self.naive:
             n = self._n
-            bits, ones_nbr = self.cfg.bits, self.cfg.ones_nbr
+            bits, ones = self.bits_view, self.ones_view
             while True:
                 dt = _exp_variate(rng, n)
                 if self.time + dt >= horizon:
@@ -267,20 +297,21 @@ class EventEngine:
                 x = int(rng.integers(n))
                 if self.first_ring is not None and self.first_ring[x] == math.inf:
                     self.first_ring[x] = self.time
-                if self._rates[bits[x], ones_nbr[x]]:
+                if self._rates[bits[x]][ones[x]]:
                     return FlipEvent(self.time, x, self._apply_flip(x))
         else:
-            k = len(self.active)
+            items = self.active.items
+            k = len(items)
             if k == 0:
                 self.time = horizon
                 return None
-            dt = _exp_variate(rng, k)
-            if self.time + dt >= horizon:
+            t = self.time + _exp_variate(rng, k)
+            if t >= horizon:
                 self.time = horizon
                 return None
-            self.time += dt
-            x = self.active.items[int(rng.integers(k))]
-            return FlipEvent(self.time, x, self._apply_flip(x))
+            self.time = t
+            x = items[int(rng.integers(k))]
+            return FlipEvent(t, x, self._apply_flip(x))
 
 
 def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
@@ -317,9 +348,10 @@ def replay(traj: Trajectory):
     """Yield (time, cfg) after each event, starting from (0, initial copy)."""
     cfg = traj.initial.copy()
     yield 0.0, cfg
-    nbrs, w = neighbor_kernel(cfg.shape)
+    nbrs, w = neighbor_lists(cfg.shape)
+    bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
     for ev in traj.events:
-        flip_and_count(cfg, ev.vertex, ev.new_value, nbrs(ev.vertex), w)
+        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs(ev.vertex), w)
         yield ev.time, cfg
 
 

@@ -5,12 +5,13 @@ radix: index = sum_i (x_i - 1) * r^(i-1).  Neighbor arithmetic works off
 per-dimension strides, so no adjacency table is required; a flat table is
 cached lazily for small tori.
 
-The dynamics update counts through neighbor_kernel, which gives the
+The dynamics update counts through neighbor_lists, which gives the
 *distinct* neighbors of a vertex and the number of neighbor slots w each
 one fills.  On r = 2 the up and down neighbor along dimension i coincide,
 so the d distinct neighbors are x ^ (1 << i), each with weight 2, computed
 by XOR with no table.  On r >= 3 all 2d neighbors are distinct (weight 1)
 and come from the cached table, or from neighbors() past its size limit.
+neighbor_kernel gives the same lists as int64 arrays.
 """
 
 from __future__ import annotations
@@ -110,20 +111,26 @@ def neighbors(shape: TorusShape, x: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def neighbor_kernel(shape: TorusShape):
-    """(nbrs, w): nbrs(x) is an int64 array of the distinct neighbors of x, in
+def neighbor_lists(shape: TorusShape):
+    """(nbrs, w): nbrs(x) is a list of the distinct neighbors of x, in
     neighbors() order, and each of them fills w of x's 2d neighbor slots.
 
-    Counts move by w per distinct neighbor, so an array update
-    `ones_nbr[nbrs(x)] += w` equals one +1 per slot.
+    Counts move by w per distinct neighbor, so adding w to the count of
+    each vertex in nbrs(x) equals one +1 per slot.
     """
     if shape.r == 2:
-        masks = np.array([1 << i for i in range(shape.d)], dtype=np.int64)
-        return (lambda x: x ^ masks), 2
+        masks = [1 << i for i in range(shape.d)]
+        return (lambda x: [x ^ m for m in masks]), 2
     table = shape.neighbor_table()
     if table is not None:
-        return table.__getitem__, 1
-    return (lambda x: np.array(neighbors(shape, x), dtype=np.int64)), 1
+        return (lambda x: table[x].tolist()), 1
+    return (lambda x: list(neighbors(shape, x))), 1
+
+
+def neighbor_kernel(shape: TorusShape):
+    """neighbor_lists with each neighbor list as an int64 array."""
+    nbrs, w = neighbor_lists(shape)
+    return (lambda x: np.array(nbrs(x), dtype=np.int64)), w
 
 
 def shared_neighbors(shape: TorusShape, x: int, y: int) -> frozenset[int]:

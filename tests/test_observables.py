@@ -8,10 +8,13 @@ from torusvoter.coupling import survival_times
 from torusvoter.observables import (EAccumulator, FractionObserver,
                                     NeighborHistogram, ObservableSeries,
                                     classify, fluid, fluid_in_scope,
-                                    neighbor_histogram, sup_deviation)
-from torusvoter.spin import (THRESHOLD, RngStream, config_from_bits, replay,
-                             run, sample_product)
+                                    fraction_series, neighbor_histogram,
+                                    sup_deviation)
+from torusvoter.spin import (DEATH, THRESHOLD, RngStream, config_from_bits,
+                             replay, run, sample_product)
 from torusvoter.torus import TorusShape, neighbors
+
+from bruteforce import sup_deviation_loop
 
 
 def rng(seed=0, stream=0):
@@ -119,7 +122,7 @@ class TestSupDeviation:
         calls = []
 
         def counted(p, t):
-            calls.append(t)
+            calls.append(np.array(t, copy=True))
             return fluid(p, t)
 
         times = [0.0, 0.3, 0.5, 1.1]
@@ -127,7 +130,67 @@ class TestSupDeviation:
         expected = sup_deviation(series, 0.3, 2.0)
         monkeypatch.setattr(observables, "fluid", counted)
         assert sup_deviation(series, 0.3, 2.0) == expected
-        assert calls == times + [2.0]
+        # one vectorised call over every breakpoint, then T
+        assert len(calls) == 1
+        assert calls[0].tolist() == times + [2.0]
+
+    @staticmethod
+    def _random_series(gen, size, T):
+        times = np.concatenate([[0.0], np.sort(gen.uniform(0.0, 1.5 * T, size - 1))])
+        return ObservableSeries(times.tolist(), gen.uniform(0.0, 1.0, size).tolist(), T)
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_matches_scalar_loop_bitwise(self, p):
+        gen = np.random.default_rng(5)
+        T = 2.0
+        for size in (1, 2, 7, 200):
+            for _ in range(20):
+                series = self._random_series(gen, size, T)
+                for horizon in (T, T / 3, float(gen.uniform(0.0, T))):
+                    got = sup_deviation(series, p, horizon)
+                    want = sup_deviation_loop(series, p, horizon)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_horizon_between_breakpoints_and_past_the_last(self):
+        series = ObservableSeries([0.0, 0.4, 0.9, 1.7], [0.3, 0.26, 0.21, 0.1], 2.0)
+        for T in (0.0, 0.4, 0.65, 0.9, 1.2, 1.7, 2.0, 5.0):
+            for p in (0.3, 0.5, 0.7):
+                assert (sup_deviation(series, p, T)
+                        == float(sup_deviation_loop(series, p, T)))
+
+    def test_breakpoints_past_T_are_ignored(self):
+        series = ObservableSeries([0.0, 0.5, 3.0], [0.3, 0.2, 0.9], 4.0)
+        # the jump to 0.9 at t = 3 lies past T = 1
+        assert sup_deviation(series, 0.3, 1.0) == float(sup_deviation_loop(series, 0.3, 1.0))
+        assert sup_deviation(series, 0.3, 1.0) < 0.2
+
+
+class TestFractionSeries:
+    @pytest.mark.parametrize("kind", [THRESHOLD, DEATH])
+    @pytest.mark.parametrize("shape,p", [(TorusShape(6, 2), 0.3), (TorusShape(3, 3), 0.6)])
+    def test_equals_observer_series(self, kind, shape, p):
+        for stream in range(3):
+            r = rng(12, stream)
+            obs = FractionObserver()
+            traj = run(sample_product(shape, p, r), kind, 1.5, r, observers=(obs,))
+            assert traj.events
+            want, got = obs.series(), fraction_series(traj)
+            assert got.times == want.times
+            assert got.values == want.values
+            assert got.horizon == want.horizon
+            assert all(type(v) is float for v in got.values)
+
+    def test_run_without_events(self):
+        shape = TorusShape(2, 3)
+        cfg = config_from_bits(shape, [1] * shape.n)  # all ones: frozen
+        obs = FractionObserver()
+        traj = run(cfg, THRESHOLD, 2.0, rng(13), observers=(obs,))
+        assert traj.events == []
+        want, got = obs.series(), fraction_series(traj)
+        assert (got.times, got.values, got.horizon) == (want.times, want.values,
+                                                       want.horizon)
+        assert got.values == [1.0] and got.horizon == 2.0
 
 
 class TestEAccumulator:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from torusvoter.oracle import ctmc_mean_ones
 from torusvoter.spin import (DEATH, THRESHOLD, Configuration, CountMismatchError,
                              EventEngine, RngStream, build_ones_nbr,
-                             config_from_bits, death_rate, replay, run,
-                             sample_product, sample_death_counts,
-                             threshold_rate, verify_counts)
+                             config_from_bits, death_rate, flip_and_count,
+                             rate_rows, rate_table, replay, run,
+                             sample_product, sample_product_batch,
+                             sample_death_counts, threshold_rate, verify_counts)
 from torusvoter.torus import TorusShape
 
 
@@ -61,6 +62,66 @@ class TestRates:
     def test_death_rate_is_current_bit(self):
         cfg = config_from_bits(TorusShape(1, 4), [1, 0, 1, 0])
         assert [death_rate(cfg, x) for x in range(4)] == [1, 0, 1, 0]
+
+
+class TestRateTable:
+    @pytest.mark.parametrize("kind", [THRESHOLD, DEATH])
+    def test_cached_read_only_and_unchanged(self, kind):
+        for d in (1, 4, 16):
+            table = rate_table(d, kind)
+            assert rate_table(d, kind) is table
+            assert rate_rows(d, kind) is rate_rows(d, kind)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+            k = np.arange(2 * d + 1)
+            if kind == THRESHOLD:  # a 0 flips at >= d one-neighbors, a 1 at <= d
+                want = np.array([k >= d, k <= d], dtype=np.uint8)
+            else:  # ones die, zeros are frozen
+                want = np.array([k < 0, k >= 0], dtype=np.uint8)
+            assert table.dtype == np.uint8
+            assert np.array_equal(table, want)
+            assert rate_rows(d, kind) == tuple(want.tolist())
+
+    def test_rows_match_rate_functions(self):
+        shape = TorusShape(2, 3)
+        cfg = sample_product(shape, 0.5, rng(14))
+        for kind, rate in ((THRESHOLD, threshold_rate), (DEATH, death_rate)):
+            rows = rate_rows(shape.d, kind)
+            assert [rows[cfg.bits[x]][cfg.ones_nbr[x]] for x in range(shape.n)] == \
+                [rate(cfg, x) for x in range(shape.n)]
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            rate_table(3, "voter")
+
+
+class TestFlipAndCount:
+    def test_scalar_update_through_views(self):
+        shape = TorusShape(3, 3)
+        cfg = config_from_bits(shape, [0] * shape.n)
+        bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
+        nbrs = [1, 2, 3]
+        assert flip_and_count(bits, ones, 0, 1, nbrs, 2) == 1
+        assert cfg.bits[0] == 1 and cfg.ones_nbr[:5].tolist() == [0, 2, 2, 2, 0]
+        assert flip_and_count(bits, ones, 0, 0, nbrs, 2) == 0
+        assert cfg.bits[0] == 0 and not cfg.ones_nbr.any()
+
+    def test_run_writes_through_block_rows(self):
+        # _sample_E_T runs the engine on rows of one (R, n) block
+        shape = TorusShape(5, 2)
+        g = rng(15)
+        block_bits, block_nbr = sample_product_batch(shape, 0.4, 3, g)
+        before = block_bits.copy()
+        for i in range(3):
+            traj = run(Configuration(shape, block_bits[i], block_nbr[i]),
+                       THRESHOLD, 1.0, g)
+            assert traj.events
+            *_, (_, end) = replay(traj)
+            assert np.array_equal(block_bits[i], end.bits)
+            assert np.array_equal(block_nbr[i], end.ones_nbr)
+        assert not np.array_equal(block_bits, before)
+        verify_counts(Configuration(shape, block_bits[0], block_nbr[0]))
 
 
 class TestActiveSet:

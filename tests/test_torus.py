@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from torusvoter import torus
 from torusvoter.torus import (TorusShape, all_coordinates, decode, encode,
-                              neighbor_kernel, neighbors, shared_neighbors,
-                              two_hop_set)
+                              neighbor_kernel, neighbor_lists, neighbors,
+                              shared_neighbors, two_hop_set)
 
 
 def c(shape, *coords):
@@ -142,3 +142,19 @@ def test_neighbor_kernel_is_the_distinct_slots(d, r, cached, monkeypatch):
         distinct = nbrs(x)
         assert distinct.tolist() == list(dict.fromkeys(slots))
         assert sorted(distinct.tolist() * w) == sorted(slots)
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("d,r", [(1, 2), (5, 2), (3, 3), (2, 5)])
+def test_neighbor_lists_match_kernel(d, r, cached, monkeypatch):
+    if not cached:
+        monkeypatch.setattr(torus, "_TABLE_ENTRY_LIMIT", 0)
+        monkeypatch.setattr(torus, "_TABLE_CACHE", {})
+    shape = TorusShape(d, r)
+    lists, w = neighbor_lists(shape)
+    arrays, w_arr = neighbor_kernel(shape)
+    assert w == w_arr
+    for x in range(shape.n):
+        got = lists(x)
+        assert type(got) is list and all(type(y) is int for y in got)
+        assert got == arrays(x).tolist() == list(dict.fromkeys(neighbors(shape, x)))
