@@ -420,6 +420,10 @@ def dominance_experiment(shape: TorusShape, p: float, T: float, replicas: int,
     draws its own initial configurations).  Adjacent orderings in
     E_T <= C_hat <= C_bar <= C_tilde (distributionally) are checked at every
     M; failures beyond 2 combined standard errors are recorded, not raised.
+
+    M_grid=None takes 20 points over [0, n], where E_T, C_hat and C_bar
+    live, together with 20 over [0, max of all samples] for the tail of
+    C_tilde, which has no box capacity and can run far past n.
     """
     from .oracle import ldp_constants
 
@@ -440,7 +444,8 @@ def dominance_experiment(shape: TorusShape, p: float, T: float, replicas: int,
                for name, rng in zip(APPROACHES, rng_streams)}
     if M_grid is None:
         top = max(s.max() for s in samples.values())
-        M_grid = np.linspace(0.0, float(top), 20)
+        M_grid = np.union1d(np.linspace(0.0, float(shape.n), 20),
+                            np.linspace(0.0, float(top), 20))
     M_grid = np.asarray(M_grid, dtype=float)
     survival, stderr = {}, {}
     for name, s in samples.items():

@@ -279,6 +279,18 @@ class TestDominance:
         with pytest.raises(ValueError):
             dominance_experiment(TorusShape(6, 2), 0.45, 1.0, 10, None, streams)
 
+    def test_default_grid_covers_zero_to_n(self):
+        # C_tilde runs to ~10^4 at d=6, far past n = 64; the orderings
+        # among E_T, C_hat and C_bar are only visible on (0, n]
+        shape = TorusShape(6, 2)
+        streams = [rng(15, i) for i in range(4)]
+        report = dominance_experiment(shape, 0.3, 0.5, 20, None, streams)
+        grid = report.M_grid
+        assert report.samples["C_tilde"].max() > 10 * shape.n
+        assert np.count_nonzero((grid > 0) & (grid <= shape.n)) >= 19
+        assert grid[0] == 0.0 and grid[-1] == report.samples["C_tilde"].max()
+        assert np.all(np.diff(grid) > 0)
+
     @pytest.mark.slow
     def test_small_chain_ordering(self):
         shape = TorusShape(6, 2)
