@@ -43,7 +43,7 @@ GOLDEN = {
         "f8caf6f9ef5f5c8a3ba8f47fecde4cf850701e7f2b639fb717370a6ff6ca784b"),
     "ballgame_d6": (
         dict(mode="ballgame", d=(6,), r=2, p=(0.3,), T=0.5, replicas=50, seed=17),
-        "6da0a547317e06292191a114f6cd60872a0c7ef84a25b8d3b1f394caddb5dc05"),
+        "3498ddaec7eed36332cd2c35a4ac02294ae8e24e7965e4d99a97bd4b404aa469"),
     "oracle_r4_d2": (
         dict(mode="oracle", d=(2,), r=4, p=(0.3,), T=2.0, replicas=1, seed=19),
         "092e96baa343a10ace283da685c8e60a393147393a522883d6e7018a8a7fb144"),
