@@ -15,8 +15,9 @@ through memoryviews taken once per run, since a memoryview item access
 costs a fraction of a numpy scalar one.  flip_and_count sets x and adds
 +-w to the count of each distinct neighbor in torus.neighbor_lists(x)
 (w = 2 on r = 2, 1 otherwise); the rates of x and its neighbors are then
-read from the two rows of rate_table as Python lists.  The numpy arrays
-stay the live state, so observers and verify_counts see every flip.
+read from rate_rows, the two rows of rate_table as tuples of Python ints.
+The numpy arrays stay the live state, so observers and verify_counts see
+every flip.
 
 A "naive" variant rings every vertex at rate 1 and rejects rate-0 rings;
 it is slower but exposes every clock ring, which the survival-time
@@ -197,7 +198,7 @@ def _rates(d: int, kind: str):
         raise ValueError(f"unknown dynamics kind {kind!r}")
     table = np.array(rows, dtype=np.uint8)
     table.flags.writeable = False
-    return table, tuple(table.tolist())
+    return table, tuple(tuple(row) for row in table.tolist())
 
 
 def rate_table(d: int, kind: str) -> np.ndarray:
@@ -208,8 +209,11 @@ def rate_table(d: int, kind: str) -> np.ndarray:
     return _rates(d, kind)[0]
 
 
-def rate_rows(d: int, kind: str) -> tuple[list[int], list[int]]:
-    """The two rows of rate_table(d, kind) as Python lists: rows[b][k]."""
+def rate_rows(d: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two rows of rate_table(d, kind) as tuples of Python ints: rows[b][k].
+
+    Cached with the table; tuples, so that no caller can change them.
+    """
     return _rates(d, kind)[1]
 
 

@@ -81,7 +81,7 @@ class TestRateTable:
                 want = np.array([k < 0, k >= 0], dtype=np.uint8)
             assert table.dtype == np.uint8
             assert np.array_equal(table, want)
-            assert rate_rows(d, kind) == tuple(want.tolist())
+            assert rate_rows(d, kind) == tuple(map(tuple, want.tolist()))
 
     def test_rows_match_rate_functions(self):
         shape = TorusShape(2, 3)
