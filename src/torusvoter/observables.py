@@ -110,19 +110,14 @@ def sup_deviation(series: ObservableSeries, p: float, T: float) -> float:
     The fraction is constant on each inter-event interval and the fluid
     curve is monotone in t, so the sup on an interval is attained at one of
     its endpoints.  The series must already be normalized by r^d.  One
-    fluid call covers every breakpoint up to T, plus the end of the last
-    interval (the next breakpoint, capped at T).
+    fluid call covers every breakpoint up to T, and T itself.
     """
-    times = np.asarray(series.times, dtype=float)
-    past = np.flatnonzero(times > T)
-    m = min(int(past[0]) if past.size else times.size, len(series.values))
+    m = bisect.bisect_right(series.times, T)  # intervals starting by T
     if m == 0:
         return 0.0
-    end = min(times[m], T) if m < times.size else T
-    f = fluid(p, np.append(times[:m], end))
+    f = fluid(p, np.append(series.times[:m], T))
     v = np.asarray(series.values[:m], dtype=float)
-    dev = np.maximum(np.abs(v - f[:-1]), np.abs(v - f[1:]))
-    return float(np.max(dev, initial=0.0, where=dev > 0.0))
+    return float(np.maximum(np.abs(v - f[:-1]), np.abs(v - f[1:])).max())
 
 
 def fraction_series(traj) -> ObservableSeries:

@@ -188,7 +188,11 @@ class _IndexedSet:
 
 
 @cache
-def _rates(d: int, kind: str):
+def rate_table(d: int, kind: str) -> np.ndarray:
+    """table[b, k]: flip rate (0 or 1) of a vertex holding b with k one-neighbors.
+
+    Built once per (d, kind) and read-only.
+    """
     k = np.arange(2 * d + 1)
     if kind == THRESHOLD:  # k neighbors disagree with a 0, 2d - k with a 1
         rows = (k >= d, 2 * d - k >= d)
@@ -198,23 +202,16 @@ def _rates(d: int, kind: str):
         raise ValueError(f"unknown dynamics kind {kind!r}")
     table = np.array(rows, dtype=np.uint8)
     table.flags.writeable = False
-    return table, tuple(tuple(row) for row in table.tolist())
+    return table
 
 
-def rate_table(d: int, kind: str) -> np.ndarray:
-    """table[b, k]: flip rate (0 or 1) of a vertex holding b with k one-neighbors.
-
-    Built once per (d, kind) and read-only.
-    """
-    return _rates(d, kind)[0]
-
-
+@cache
 def rate_rows(d: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two rows of rate_table(d, kind) as tuples of Python ints: rows[b][k].
 
-    Cached with the table; tuples, so that no caller can change them.
+    Cached like the table; tuples, so that no caller can change them.
     """
-    return _rates(d, kind)[1]
+    return tuple(tuple(row) for row in rate_table(d, kind).tolist())
 
 
 def flip_and_count(bits, ones_nbr, x: int, new: int, nbrs, w: int) -> int:
