@@ -13,19 +13,22 @@ Two couplings are provided:
   (lower 0, upper 1) get two independent sub-clocks so the order-breaking
   simultaneous flip to (1, 0) never happens.
 
-Both runs read and write the marginals through memoryviews and take the
-threshold rate from the rows of spin.rate_table, as the engine does.
+Both runs read and write the marginals through memoryviews, take the
+threshold rate from the rows of spin.rate_table and draw through a
+spin.DrawStream, as the engine does; rng is in sync with the draws when a
+run returns or raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .observables import ObservableSeries
-from .spin import (THRESHOLD, Configuration, Trajectory, _IndexedSet, _exp_variate,
+from .spin import (THRESHOLD, Configuration, DrawStream, Trajectory, _IndexedSet,
                    build_ones_nbr, flip_and_count, rate_rows, rate_table,
                    sample_product)
 from .torus import TorusShape, neighbor_lists
@@ -35,8 +38,7 @@ class DominationError(AssertionError):
     """Lower marginal exceeded the upper one at some vertex."""
 
 
-@dataclass
-class CoupledEvent:
+class CoupledEvent(NamedTuple):
     time: float
     vertex: int
     upper_new: int | None  # None when that marginal did not flip
@@ -131,26 +133,30 @@ def _run_eta_zeta(upper, lower, T, rng, check):
     if check:
         _check_domination(lower, upper)
     t = 0.0
-    while True:
-        k = len(active)
-        if k == 0:
-            break
-        t += _exp_variate(rng, k)
-        if t >= T:
-            break
-        x = active.items[int(rng.integers(k))]
-        nbrs = nbrs_of(x)
-        upper_new = _flip(upper_v, x, nbrs, w) if rates[ub[x]][uo[x]] else None
-        lower_new = _flip(lower_v, x, nbrs, w) if lb[x] == 1 else None
-        events.append(CoupledEvent(t, x, upper_new, lower_new))
-        for y in (x, *nbrs):
-            if lb[y] == 1 or rates[ub[y]][uo[y]]:
-                if pos[y] < 0:
-                    active.add(y)
-            elif pos[y] >= 0:
-                active.remove(y)
-        if check:
-            _check_domination(lower, upper, x)
+    draws = DrawStream(rng)
+    try:
+        while True:
+            k = len(active)
+            if k == 0:
+                break
+            t += draws.exponential(k)
+            if t >= T:
+                break
+            x = active.items[draws.index(k)]
+            nbrs = nbrs_of(x)
+            upper_new = _flip(upper_v, x, nbrs, w) if rates[ub[x]][uo[x]] else None
+            lower_new = _flip(lower_v, x, nbrs, w) if lb[x] == 1 else None
+            events.append(CoupledEvent(t, x, upper_new, lower_new))
+            for y in (x, *nbrs):
+                if lb[y] == 1 or rates[ub[y]][uo[y]]:
+                    if pos[y] < 0:
+                        active.add(y)
+                elif pos[y] >= 0:
+                    active.remove(y)
+            if check:
+                _check_domination(lower, upper, x)
+    finally:
+        draws.close()
     if check:
         _check_domination(lower, upper)
     return traj
@@ -194,46 +200,50 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     if check:
         _check_domination(lower, upper)
     t = 0.0
-    while True:
-        k = len(arms)
-        if k == 0:
-            break
-        t += _exp_variate(rng, k)
-        if t >= T:
-            break
-        arm = arms.items[int(rng.integers(k))]
-        x, sub = arm >> 1, arm & 1
-        nbrs = nbrs_of(x)
-        upper_new = lower_new = None
-        if lb[x] == ub[x]:
-            # shared clock: each marginal flips iff its own rate is 1
-            if rates[lb[x]][lo[x]]:
-                lower_new = _flip(lower_v, x, nbrs, w)
-            if rates[ub[x]][uo[x]]:
-                upper_new = _flip(upper_v, x, nbrs, w)
-        elif sub == 0:
-            lower_new = _flip(lower_v, x, nbrs, w)  # discordant 0 -> 1
-        else:
-            upper_new = _flip(upper_v, x, nbrs, w)  # discordant 1 -> 0
-        events.append(CoupledEvent(t, x, upper_new, lower_new))
-        for y in (x, *nbrs):
-            want0, want1 = rates[lb[y]][lo[y]], rates[ub[y]][uo[y]]
-            if lb[y] == ub[y]:  # concordant: one shared arm
-                want0, want1 = want0 or want1, 0
-            arm = 2 * y
-            if want0:
-                if pos[arm] < 0:
-                    arms.add(arm)
-            elif pos[arm] >= 0:
-                arms.remove(arm)
-            arm += 1
-            if want1:
-                if pos[arm] < 0:
-                    arms.add(arm)
-            elif pos[arm] >= 0:
-                arms.remove(arm)
-        if check:
-            _check_domination(lower, upper, x)
+    draws = DrawStream(rng)
+    try:
+        while True:
+            k = len(arms)
+            if k == 0:
+                break
+            t += draws.exponential(k)
+            if t >= T:
+                break
+            arm = arms.items[draws.index(k)]
+            x, sub = arm >> 1, arm & 1
+            nbrs = nbrs_of(x)
+            upper_new = lower_new = None
+            if lb[x] == ub[x]:
+                # shared clock: each marginal flips iff its own rate is 1
+                if rates[lb[x]][lo[x]]:
+                    lower_new = _flip(lower_v, x, nbrs, w)
+                if rates[ub[x]][uo[x]]:
+                    upper_new = _flip(upper_v, x, nbrs, w)
+            elif sub == 0:
+                lower_new = _flip(lower_v, x, nbrs, w)  # discordant 0 -> 1
+            else:
+                upper_new = _flip(upper_v, x, nbrs, w)  # discordant 1 -> 0
+            events.append(CoupledEvent(t, x, upper_new, lower_new))
+            for y in (x, *nbrs):
+                want0, want1 = rates[lb[y]][lo[y]], rates[ub[y]][uo[y]]
+                if lb[y] == ub[y]:  # concordant: one shared arm
+                    want0, want1 = want0 or want1, 0
+                arm = 2 * y
+                if want0:
+                    if pos[arm] < 0:
+                        arms.add(arm)
+                elif pos[arm] >= 0:
+                    arms.remove(arm)
+                arm += 1
+                if want1:
+                    if pos[arm] < 0:
+                        arms.add(arm)
+                elif pos[arm] >= 0:
+                    arms.remove(arm)
+            if check:
+                _check_domination(lower, upper, x)
+    finally:
+        draws.close()
     if check:
         _check_domination(lower, upper)
     return traj

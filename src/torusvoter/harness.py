@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -73,6 +74,45 @@ class ExperimentSpec:
                 bad.append(f"init_bits length {len(self.init_bits)} != r^d")
         if bad:
             raise ValidationError("; ".join(bad))
+
+
+# Bytes per vertex of one chain: the float64 draw of sample_product, the
+# int32 ones_nbr and the uint8 bits; then _IndexedSet with every vertex
+# active: its int64 position array, a pos-list slot, an items-list slot
+# and the int object it points to.
+_ARRAY_BYTES = 8 + 4 + 1
+_INDEXED_SET_BYTES = 8 + 8 + 8 + 32
+
+
+def memory_limit() -> int:
+    """Bytes this process may use: physical memory, capped by RLIMIT_AS."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    return limit
+
+
+def check_capacity(spec: ExperimentSpec) -> None:
+    """Raise oracle.CapacityError before a Monte Carlo mode allocates a
+    torus whose per-vertex arrays and active set would not fit in memory.
+
+    A coupling holds two chains; the monotone one has two arms per vertex.
+    The oracle and ldp modes have their own limits.
+    """
+    if spec.mode not in ("simulate", "couple", "sweep", "ballgame"):
+        return
+    n = spec.r ** max(spec.d)
+    if spec.mode == "couple":
+        arms = 2 if len(spec.p) == 2 else 1
+        need = n * (2 * _ARRAY_BYTES + arms * _INDEXED_SET_BYTES)
+    else:
+        need = n * (_ARRAY_BYTES + _INDEXED_SET_BYTES)
+    limit = memory_limit()
+    if need > limit:
+        raise oracle.CapacityError(
+            f"{spec.mode} on {n} vertices needs about {need / 2**20:.0f} MiB; "
+            f"memory limit is {limit / 2**20:.0f} MiB")
 
 
 def _fmt(x) -> str:
@@ -302,6 +342,7 @@ _DISPATCH = {
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment; write rows.csv/summary.json if spec.out is set."""
     spec.validate()
+    check_capacity(spec)
     header, rows, summary = _DISPATCH[spec.mode](spec)
     result = {"spec": asdict(spec), "summary": summary}
     if spec.out is not None:

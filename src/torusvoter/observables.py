@@ -166,7 +166,8 @@ class EAccumulator:
     A vertex joins E the first instant its ones-neighbor count reaches d
     (including t = 0).  A flip at x only changes the counts of x's
     neighbors, so only those are rechecked per event, one scalar read
-    each through the engine's views.
+    each through the engine's views; the neighbor list is the one the
+    engine built for the flip (engine.last_nbrs).
     """
 
     def __init__(self):
@@ -190,7 +191,7 @@ class EAccumulator:
         if event is not None:
             in_E, ones = self._in_view, engine.ones_view
             fresh = 0
-            for y in engine.neighbors(event.vertex):
+            for y in engine.last_nbrs:
                 if not in_E[y] and ones[y] >= d:
                     in_E[y] = True
                     fresh += 1

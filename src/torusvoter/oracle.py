@@ -24,7 +24,8 @@ MAX_MATVECS = 10_000  # Poisson terms per uniformized series; E[terms] = n t
 
 
 class CapacityError(Exception):
-    """State space too large for the exact solver."""
+    """Too large to run: the exact solver's state space, or a torus whose
+    per-vertex arrays would not fit in memory (harness.check_capacity)."""
 
 
 def binom_logtail(n: int, p: float, k: int) -> float:

@@ -19,6 +19,15 @@ read from rate_rows, the two rows of rate_table as tuples of Python ints.
 The numpy arrays stay the live state, so observers and verify_counts see
 every flip.
 
+Every Gillespie loop (the engine here and both couplings) draws its
+Exp(k) gap and uniform index through one DrawStream.  It computes
+rng.random() and rng.integers(k) from blocks of raw bit-generator words
+in pure Python, bit for bit what numpy would return, at a fraction of
+numpy's per-call cost; close() then leaves the Generator exactly where
+the direct calls would have.  run and the couplings close it on exit;
+code that steps an EventEngine by hand and then draws from the same
+Generator must call engine.close() first.
+
 A "naive" variant rings every vertex at rate 1 and rejects rate-0 rings;
 it is slower but exposes every clock ring, which the survival-time
 diagnostics need.
@@ -29,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +80,7 @@ class Configuration:
         return int(self.bits.sum())
 
 
-@dataclass(frozen=True)
-class FlipEvent:
+class FlipEvent(NamedTuple):
     time: float
     vertex: int
     new_value: int
@@ -156,6 +165,143 @@ def _exp_variate(rng: np.random.Generator, rate: float) -> float:
     return -math.log1p(-rng.random()) / rate
 
 
+_U32 = 0xFFFFFFFF
+_TWO_M53 = 2.0**-53
+COLD_DRAWS = 8  # draws served straight from the Generator before blocks start
+_FIRST_BLOCK, _MAX_BLOCK = 64, 1024  # raw words per block, doubling
+
+
+@cache
+def _keeps_half_word(kind: type) -> bool:
+    """Whether bit generators of this type keep has_uint32/uinteger state."""
+    return "has_uint32" in kind().state
+
+
+class DrawStream:
+    """The draws of a Generator, served from raw blocks of its bit generator.
+
+    exponential(rate) returns exactly -log1p(-rng.random()) / rate (as
+    _exp_variate does) and index(k) exactly int(rng.integers(k)), for
+    1 <= k <= 2**32.  numpy's random() is (u >> 11) * 2**-53 of one raw
+    64-bit word u; integers(k) is Lemire's bounded method on 32-bit draws
+    (Lemire 2019, ACM TOMACS 29(1)), where a fresh word yields its low
+    half and keeps the high half in the state's has_uint32/uinteger for
+    the next 32-bit draw; k = 1 draws nothing, k = 2**32 returns the
+    32-bit draw itself.  Both are reproduced here from
+    bit_generator.random_raw(m).tolist() blocks.
+
+    The first COLD_DRAWS draws go to the Generator itself, so a short run
+    never pays for the state read at the switch to blocks.  close() rewinds
+    the bit generator to that switch and advances it by the words used,
+    with the emulated has_uint32/uinteger; the Generator is then where the
+    direct calls would have left it.  Call close() before drawing from the
+    Generator again.  Bit generators without has_uint32 in their state
+    (MT19937) raise TypeError; Philox, PCG64, PCG64DXSM and SFC64 work.
+    """
+
+    __slots__ = ("rng", "_bitgen", "_cold", "_start", "_buf", "_i", "_used",
+                 "_has32", "_u32", "_block")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if not _keeps_half_word(type(bitgen)):
+            raise TypeError(f"{type(bitgen).__name__} keeps no has_uint32 state")
+        self.rng = rng
+        self._bitgen = bitgen
+        self._cold = COLD_DRAWS + 1  # > 1: direct draws left; 1: switch next
+        self._reset()
+
+    def _reset(self):
+        self._start = None  # bit-generator state at the switch to blocks
+        self._buf: list[int] = []
+        self._i = 0  # next word in _buf
+        self._used = 0  # words of earlier blocks, all used
+        self._has32 = self._u32 = 0
+        self._block = _FIRST_BLOCK
+
+    def _switch(self):
+        """Read the live state once; from here on, draw from blocks."""
+        state = self._bitgen.state
+        self._start = state
+        self._has32, self._u32 = state["has_uint32"], state["uinteger"]
+        self._cold = 0
+
+    def _refill(self) -> int:
+        """Fetch the next block; return its first word and consume it."""
+        self._used += len(self._buf)
+        m = self._block
+        self._block = min(2 * m, _MAX_BLOCK)
+        self._buf = buf = self._bitgen.random_raw(m).tolist()
+        self._i = 1
+        return buf[0]
+
+    def exponential(self, rate: float) -> float:
+        """An Exp(rate) variate: -log1p(-rng.random()) / rate."""
+        if self._cold:
+            if self._cold > 1:
+                self._cold -= 1
+                return -math.log1p(-self.rng.random()) / rate
+            self._switch()
+        i = self._i
+        try:
+            u = self._buf[i]
+            self._i = i + 1
+        except IndexError:
+            u = self._refill()
+        return -math.log1p(-(u >> 11) * _TWO_M53) / rate
+
+    def index(self, k: int) -> int:
+        """A uniform index in [0, k): int(rng.integers(k)), 1 <= k <= 2**32."""
+        if k <= 1 or k > _U32 + 1:
+            if k == 1:  # numpy draws nothing either
+                return 0
+            raise ValueError(f"index bound must lie in [1, 2**32], got {k}")
+        if self._cold:
+            if self._cold > 1:
+                self._cold -= 1
+                return int(self.rng.integers(k))
+            self._switch()
+        # at k = 2**32 this returns the 32-bit draw itself, as numpy does
+        m = self._next32() * k
+        if m & _U32 < k:
+            threshold = (_U32 + 1 - k) % k  # 2**32 mod k
+            while m & _U32 < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._u32
+        i = self._i
+        try:
+            u = self._buf[i]
+            self._i = i + 1
+        except IndexError:
+            u = self._refill()
+        self._has32 = 1
+        self._u32 = u >> 32
+        return u & _U32
+
+    def close(self) -> None:
+        """Leave the Generator where the direct draws would have; idempotent.
+
+        Later draws read the state afresh (no cold phase).
+        """
+        start = self._start
+        if start is None:
+            return
+        start["has_uint32"], start["uinteger"] = self._has32, self._u32
+        self._bitgen.state = start
+        used = self._used + self._i
+        while used:  # in bounded chunks; output=False is slower
+            chunk = min(used, _MAX_BLOCK * 64)
+            self._bitgen.random_raw(chunk)
+            used -= chunk
+        self._reset()
+        self._cold = 1
+
+
 class _IndexedSet:
     """Set of vertex ids with O(1) add/remove and uniform sampling."""
 
@@ -234,7 +380,8 @@ class EventEngine:
     naive=True switches to the rejection variant: total rate r^d, vertex
     uniform over all vertices, no-op when the rate there is 0.  With
     record_rings=True (naive only) the first ring time of every vertex is
-    kept in first_ring.
+    kept in first_ring.  Draws go through a DrawStream on rng: call
+    close() before drawing from rng directly again (run does).
     """
 
     def __init__(self, cfg: Configuration, kind: str, rng: np.random.Generator,
@@ -248,24 +395,28 @@ class EventEngine:
         self.bits_view = memoryview(cfg.bits)
         self.ones_view = memoryview(cfg.ones_nbr)
         self.kind = kind
-        self.rng = rng
+        self.draws = DrawStream(rng)
         self.naive = naive
         self.time = 0.0
         self._n = shape.n
         self._nbrs, self._w = neighbor_lists(shape)
+        self.last_nbrs: list[int] = []  # distinct neighbors of the last flip
         self.first_ring = [math.inf] * shape.n if record_rings else None
         # ascending vertex order, as adding them one by one would give
         active = np.flatnonzero(rate_table(shape.d, kind)[cfg.bits, cfg.ones_nbr])
         self.active = _IndexedSet(shape.n, active.tolist())
 
-    def neighbors(self, x) -> list[int]:
-        """The distinct neighbors of x (each one is w of its 2d slots)."""
-        return self._nbrs(x)
+    def close(self) -> None:
+        """Sync rng with the draws made so far (see DrawStream.close)."""
+        self.draws.close()
 
     def _apply_flip(self, x) -> int:
-        """Flip x, update neighbor counts and the active set; return new value."""
+        """Flip x, update neighbor counts and the active set; return new value.
+
+        The neighbor list stays in last_nbrs for the observers.
+        """
         bits, ones = self.bits_view, self.ones_view
-        nbrs = self._nbrs(x)
+        self.last_nbrs = nbrs = self._nbrs(x)
         new = flip_and_count(bits, ones, x, 1 - bits[x], nbrs, self._w)
         if not self.naive:
             # walk x and its neighbors in set order: the order of adds and
@@ -285,17 +436,17 @@ class EventEngine:
 
     def step(self, horizon: float) -> FlipEvent | None:
         """Advance to the next flip event, or to the horizon if none occurs."""
-        rng = self.rng
+        draws = self.draws
         if self.naive:
             n = self._n
             bits, ones = self.bits_view, self.ones_view
             while True:
-                dt = _exp_variate(rng, n)
+                dt = draws.exponential(n)
                 if self.time + dt >= horizon:
                     self.time = horizon
                     return None
                 self.time += dt
-                x = int(rng.integers(n))
+                x = draws.index(n)
                 if self.first_ring is not None and self.first_ring[x] == math.inf:
                     self.first_ring[x] = self.time
                 if self._rates[bits[x]][ones[x]]:
@@ -306,12 +457,12 @@ class EventEngine:
             if k == 0:
                 self.time = horizon
                 return None
-            t = self.time + _exp_variate(rng, k)
+            t = self.time + draws.exponential(k)
             if t >= horizon:
                 self.time = horizon
                 return None
             self.time = t
-            x = items[int(rng.integers(k))]
+            x = items[draws.index(k)]
             return FlipEvent(t, x, self._apply_flip(x))
 
 
@@ -322,7 +473,8 @@ def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
 
     Observers are callables observer(time, engine, event_or_None); they see
     the live post-flip state.  engine_out, if given, receives the engine
-    (for ring times and final-state access).
+    (for ring times and final-state access).  rng is in sync with the
+    run's draws on return, also when an observer raises.
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -331,17 +483,20 @@ def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
     if engine_out is not None:
         engine_out.append(engine)
     events: list[FlipEvent] = []
-    for obs in observers:
-        obs(0.0, engine, None)
-    while engine.time < T:
-        ev = engine.step(T)
-        if ev is None:
-            break
-        events.append(ev)
+    try:
         for obs in observers:
-            obs(ev.time, engine, ev)
-    for obs in observers:
-        obs(T, engine, None)
+            obs(0.0, engine, None)
+        while engine.time < T:
+            ev = engine.step(T)
+            if ev is None:
+                break
+            events.append(ev)
+            for obs in observers:
+                obs(ev.time, engine, ev)
+        for obs in observers:
+            obs(T, engine, None)
+    finally:
+        engine.close()
     return Trajectory(initial, events, T)
 
 

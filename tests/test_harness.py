@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from torusvoter import ballgame, coupling, harness, spin
 from torusvoter.cli import main, spec_from_args, build_parser
 from torusvoter.harness import (ExperimentSpec, ValidationError,
                                 parse_config_file, run_experiment, time_grid)
+from torusvoter.oracle import CapacityError
 
 
 def spec(**kw):
@@ -223,6 +225,58 @@ class TestConfigFile:
         args = build_parser().parse_args(["simulate", "--config", str(path)])
         with pytest.raises(ValidationError, match="unknown config keys"):
             spec_from_args(args)
+
+
+class TestCapacity:
+    """A torus too large for memory fails before any per-vertex allocation.
+
+    The memory limit is patched down to 1 MiB, so a d=16 torus (65536
+    vertices) is already too large; nothing large is ever allocated.
+    """
+
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch):
+        monkeypatch.setattr(harness, "memory_limit", lambda: 1 << 20)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-vertex allocation before the capacity check")
+
+        for owner, name in ((spin, "sample_product"), (spin, "run"),
+                            (coupling, "coupled_run_monotone"),
+                            (coupling, "coupled_run_eta_zeta"),
+                            (ballgame, "dominance_experiment")):
+            monkeypatch.setattr(owner, name, refuse)
+
+    @pytest.mark.parametrize("mode,d,p", [
+        ("simulate", (16,), (0.2,)),
+        ("couple", (16,), (0.3, 0.45)),
+        ("couple", (16,), (0.4,)),
+        ("sweep", (4, 8, 16), (0.2,)),
+        ("ballgame", (16,), (0.3,)),
+    ])
+    def test_raises_before_allocating(self, tiny_memory, mode, d, p):
+        with pytest.raises(CapacityError, match="memory limit"):
+            run_experiment(spec(mode=mode, d=d, r=2, p=p))
+
+    def test_cli_exit_code(self, tiny_memory, capsys):
+        code = main(["simulate", "--d", "16", "--p", "0.2", "--replicas", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "Traceback" not in err
+
+    def test_small_torus_fits(self, monkeypatch):
+        monkeypatch.setattr(harness, "memory_limit", lambda: 1 << 20)
+        result = run_experiment(spec(mode="simulate", d=(8,), r=2, replicas=1))
+        assert len(result["summary"]["per_t"]) == 5
+
+    def test_limit_honours_rlimit_as(self, monkeypatch):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(harness.resource, "getrlimit",
+                            lambda which: (harness.resource.RLIM_INFINITY,) * 2)
+        assert harness.memory_limit() == physical
+        monkeypatch.setattr(harness.resource, "getrlimit",
+                            lambda which: (physical // 3, harness.resource.RLIM_INFINITY))
+        assert harness.memory_limit() == physical // 3
 
 
 class TestCliExitCodes:
