@@ -21,9 +21,10 @@ slots, and only their box histograms are kept.  The upper mass of processes
 2 and 3 follows a sequence fixed by the initial boxes, so those run as one
 exact jump chain over all replicas (rightward_counts) that draws only the
 holding times; process 4 takes one vector NegBin draw at m = 1
-(single_box_counts).  The path samplers approach2_run, rightward_move,
-approach4_run and single_box_count remain as the references these are
-tested against.
+(single_box_counts).  The path samplers rightward_move, approach4_run and
+single_box_count remain as the references these are tested against, and
+single_box_count runs approach4_run at m > 1; the path of process 2 is
+sampled only in tests/bruteforce.py.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import numpy as np
 
 from .observables import (EAccumulator, ObservableSeries, neighbor_histogram,
                           neighbor_histograms)
-from .spin import (THRESHOLD, Configuration, _exp_variate, flip_and_count, run,
-                   sample_product_batch)
+from .spin import THRESHOLD, Configuration, flip_and_count, run, sample_product_batch
 from .torus import TorusShape, neighbor_lists
 
 
@@ -147,7 +147,8 @@ def rightward_move_rows(left: np.ndarray) -> np.ndarray:
 def rightward_counts(counts: np.ndarray, T: float, rng: np.random.Generator) -> np.ndarray:
     """C_hat_T of the rightward-only process from each row of box counts.
 
-    Exact in law with approach2_run.  The left region moves by fixed
+    Exact in law with the rightward-only path, one rightward_move per
+    Exp(C_hat) holding time.  The left region moves by fixed
     arithmetic, so the upper masses u_0 <= u_1 <= ... are fixed by the
     initial boxes and only the holding times are random: move j waits
     Exp(u_j).  Each move draws one standard_exponential block over the
@@ -167,31 +168,6 @@ def rightward_counts(counts: np.ndarray, T: float, rng: np.random.Generator) -> 
         left[live] = rows
         live = live[rows.any(axis=1)]
     return upper
-
-
-def approach2_run(box: BoxState, T: float, rng: np.random.Generator) -> ObservableSeries:
-    """C_hat_t series: moves at rate C_hat_t, never moving balls left."""
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    box = box.copy()
-    t = 0.0
-    times, values = [0.0], [float(box.upper_mass)]
-    while True:
-        rate = box.upper_mass
-        if rate == 0:
-            break  # frozen
-        t += _exp_variate(rng, rate)
-        if t >= T:
-            break
-        rightward_move(box, rng)
-        new = box.upper_mass
-        assert new >= values[-1], "rightward process lost upper mass"
-        if new != values[-1]:
-            times.append(t)
-            values.append(float(new))
-        if box.counts[:box.d].sum() == 0:
-            break  # left region drained: moves only shuffle the right region
-    return ObservableSeries(times, values, T)
 
 
 def p_zero(p: float) -> float:

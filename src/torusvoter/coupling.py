@@ -13,10 +13,12 @@ Two couplings are provided:
   (lower 0, upper 1) get two independent sub-clocks so the order-breaking
   simultaneous flip to (1, 0) never happens.
 
-Both runs read and write the marginals through memoryviews, take the
-threshold rate from the rows of spin.rate_table and draw through a
-spin.DrawStream, as the engine does; rng is in sync with the draws when a
-run returns or raises.
+Both runs read and write the marginals through memoryviews and take the
+threshold rate from the rows of spin.rate_table.  They share one loop,
+_coupled_loop, which rings their arms through spin._IndexedSet.ring and a
+spin.DrawStream, as the engine does; each run supplies its arms and a
+fire(t, arm) closure that flips and resyncs them.  rng is in sync with the
+draws when a run returns or raises.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .observables import ObservableSeries
 from .spin import (THRESHOLD, Configuration, DrawStream, Trajectory, _IndexedSet,
-                   build_ones_nbr, flip_and_count, rate_rows, rate_table,
+                   config_from_bits, flip_and_count, rate_rows, rate_table,
                    sample_product)
 from .torus import TorusShape, neighbor_lists
 
@@ -128,38 +130,20 @@ def _run_eta_zeta(upper, lower, T, rng, check):
     union = (lower.bits == 1) | _threshold_rates(upper)
     active = _IndexedSet(shape.n, np.flatnonzero(union).tolist())
     pos = active.pos
-    events: list[CoupledEvent] = []
-    traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
-    if check:
-        _check_domination(lower, upper)
-    t = 0.0
-    draws = DrawStream(rng)
-    try:
-        while True:
-            k = len(active)
-            if k == 0:
-                break
-            t += draws.exponential(k)
-            if t >= T:
-                break
-            x = active.items[draws.index(k)]
-            nbrs = nbrs_of(x)
-            upper_new = _flip(upper_v, x, nbrs, w) if rates[ub[x]][uo[x]] else None
-            lower_new = _flip(lower_v, x, nbrs, w) if lb[x] == 1 else None
-            events.append(CoupledEvent(t, x, upper_new, lower_new))
-            for y in (x, *nbrs):
-                if lb[y] == 1 or rates[ub[y]][uo[y]]:
-                    if pos[y] < 0:
-                        active.add(y)
-                elif pos[y] >= 0:
-                    active.remove(y)
-            if check:
-                _check_domination(lower, upper, x)
-    finally:
-        draws.close()
-    if check:
-        _check_domination(lower, upper)
-    return traj
+
+    def fire(t, x):
+        nbrs = nbrs_of(x)
+        upper_new = _flip(upper_v, x, nbrs, w) if rates[ub[x]][uo[x]] else None
+        lower_new = _flip(lower_v, x, nbrs, w) if lb[x] == 1 else None
+        for y in (x, *nbrs):
+            if lb[y] == 1 or rates[ub[y]][uo[y]]:
+                if pos[y] < 0:
+                    active.add(y)
+            elif pos[y] >= 0:
+                active.remove(y)
+        return CoupledEvent(t, x, upper_new, lower_new)
+
+    return _coupled_loop(upper, lower, active, fire, T, rng, check)
 
 
 def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
@@ -176,8 +160,8 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     if p1 > p2:
         raise ValueError(f"need p1 <= p2, got {p1} > {p2}")
     u = rng.random(shape.n)
-    lower = _config(shape, u < p1)
-    upper = _config(shape, u < p2)
+    lower = config_from_bits(shape, u < p1)
+    upper = config_from_bits(shape, u < p2)
     nbrs_of, w = neighbor_lists(shape)
     rates = rate_rows(shape.d, THRESHOLD)
     upper_v, lower_v = _views(upper), _views(lower)
@@ -195,6 +179,50 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     # ascending arm order, as syncing the vertices one by one would give
     arms = _IndexedSet(2 * shape.n, np.flatnonzero(wanted).tolist())
     pos = arms.pos
+
+    def fire(t, arm):
+        x, sub = arm >> 1, arm & 1
+        nbrs = nbrs_of(x)
+        upper_new = lower_new = None
+        if lb[x] == ub[x]:
+            # shared clock: each marginal flips iff its own rate is 1
+            if rates[lb[x]][lo[x]]:
+                lower_new = _flip(lower_v, x, nbrs, w)
+            if rates[ub[x]][uo[x]]:
+                upper_new = _flip(upper_v, x, nbrs, w)
+        elif sub == 0:
+            lower_new = _flip(lower_v, x, nbrs, w)  # discordant 0 -> 1
+        else:
+            upper_new = _flip(upper_v, x, nbrs, w)  # discordant 1 -> 0
+        for y in (x, *nbrs):
+            want0, want1 = rates[lb[y]][lo[y]], rates[ub[y]][uo[y]]
+            if lb[y] == ub[y]:  # concordant: one shared arm
+                want0, want1 = want0 or want1, 0
+            arm = 2 * y
+            if want0:
+                if pos[arm] < 0:
+                    arms.add(arm)
+            elif pos[arm] >= 0:
+                arms.remove(arm)
+            arm += 1
+            if want1:
+                if pos[arm] < 0:
+                    arms.add(arm)
+            elif pos[arm] >= 0:
+                arms.remove(arm)
+        return CoupledEvent(t, x, upper_new, lower_new)
+
+    return _coupled_loop(upper, lower, arms, fire, T, rng, check)
+
+
+def _coupled_loop(upper, lower, arms, fire, T, rng, check) -> CoupledTrajectory:
+    """Ring the arms until T; fire(t, arm) flips, resyncs the arms and
+    returns the CoupledEvent.
+
+    Domination is scanned in full at the start and the end, and checked at
+    the event's vertex after each event.  rng is in sync with the draws on
+    return, also when a check raises.
+    """
     events: list[CoupledEvent] = []
     traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
     if check:
@@ -202,46 +230,12 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     t = 0.0
     draws = DrawStream(rng)
     try:
-        while True:
-            k = len(arms)
-            if k == 0:
-                break
-            t += draws.exponential(k)
-            if t >= T:
-                break
-            arm = arms.items[draws.index(k)]
-            x, sub = arm >> 1, arm & 1
-            nbrs = nbrs_of(x)
-            upper_new = lower_new = None
-            if lb[x] == ub[x]:
-                # shared clock: each marginal flips iff its own rate is 1
-                if rates[lb[x]][lo[x]]:
-                    lower_new = _flip(lower_v, x, nbrs, w)
-                if rates[ub[x]][uo[x]]:
-                    upper_new = _flip(upper_v, x, nbrs, w)
-            elif sub == 0:
-                lower_new = _flip(lower_v, x, nbrs, w)  # discordant 0 -> 1
-            else:
-                upper_new = _flip(upper_v, x, nbrs, w)  # discordant 1 -> 0
-            events.append(CoupledEvent(t, x, upper_new, lower_new))
-            for y in (x, *nbrs):
-                want0, want1 = rates[lb[y]][lo[y]], rates[ub[y]][uo[y]]
-                if lb[y] == ub[y]:  # concordant: one shared arm
-                    want0, want1 = want0 or want1, 0
-                arm = 2 * y
-                if want0:
-                    if pos[arm] < 0:
-                        arms.add(arm)
-                elif pos[arm] >= 0:
-                    arms.remove(arm)
-                arm += 1
-                if want1:
-                    if pos[arm] < 0:
-                        arms.add(arm)
-                elif pos[arm] >= 0:
-                    arms.remove(arm)
+        while (ring := arms.ring(draws, t, T)) is not None:
+            t, arm = ring
+            ev = fire(t, arm)
+            events.append(ev)
             if check:
-                _check_domination(lower, upper, x)
+                _check_domination(lower, upper, ev.vertex)
     finally:
         draws.close()
     if check:
@@ -249,24 +243,19 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     return traj
 
 
-def _config(shape, mask) -> Configuration:
-    bits = mask.astype(np.uint8)
-    return Configuration(shape, bits, build_ones_nbr(shape, bits))
-
-
 @dataclass
 class SurvivalRecord:
     """First hit of state 0 per initially-1 vertex, censored at the horizon.
 
-    tau[x] is math.inf when x never reached 0 in [0, T].  first_ring[x],
-    when available (naive engine with ring recording), is the first clock
-    ring of x; pathwise tau[x] >= first_ring[x] is the only hard guarantee.
+    tau[x] is math.inf when x never reached 0 in [0, T].  Pathwise, tau[x]
+    is at least the first clock ring of x; the active-set engine skips the
+    rings that change nothing, so the check of that bound runs on the
+    rejection engine in tests/bruteforce.py, which records every ring.
     """
 
     vertices: list[int]  # A_0, sorted
     tau: dict[int, float]
     horizon: float
-    first_ring: dict[int, float] | None = None
 
     def surviving(self, t: float) -> list[int]:
         return [x for x in self.vertices if self.tau[x] > t]
@@ -283,7 +272,7 @@ class SurvivalRecord:
         return ObservableSeries(times, values, self.horizon)
 
 
-def survival_times(traj: Trajectory, first_ring=None) -> SurvivalRecord:
+def survival_times(traj: Trajectory) -> SurvivalRecord:
     """Extract tau_x for every x in A_0 from a voter-model trajectory."""
     a0 = sorted(int(x) for x in np.nonzero(traj.initial.bits)[0])
     a0_set = set(a0)
@@ -291,7 +280,4 @@ def survival_times(traj: Trajectory, first_ring=None) -> SurvivalRecord:
     for ev in traj.events:
         if ev.new_value == 0 and ev.vertex in a0_set and tau[ev.vertex] == math.inf:
             tau[ev.vertex] = ev.time
-    rings = None
-    if first_ring is not None:
-        rings = {x: first_ring[x] for x in a0}
-    return SurvivalRecord(a0, tau, traj.horizon, rings)
+    return SurvivalRecord(a0, tau, traj.horizon)

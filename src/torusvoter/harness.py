@@ -68,7 +68,10 @@ class ExperimentSpec:
         if self.grid < 2:
             bad.append(f"grid must be >= 2, got {self.grid}")
         if self.init_bits is not None:
-            if set(self.init_bits) - {"0", "1"}:
+            if self.mode not in ("simulate", "oracle"):
+                bad.append(f"init_bits is used only by simulate and oracle, "
+                           f"not by {self.mode}")
+            elif set(self.init_bits) - {"0", "1"}:
                 bad.append("init_bits must be a 0/1 string")
             elif len(self.init_bits) != self.r ** self.d[0]:
                 bad.append(f"init_bits length {len(self.init_bits)} != r^d")

@@ -26,11 +26,9 @@ in pure Python, bit for bit what numpy would return, at a fraction of
 numpy's per-call cost; close() then leaves the Generator exactly where
 the direct calls would have.  run and the couplings close it on exit;
 code that steps an EventEngine by hand and then draws from the same
-Generator must call engine.close() first.
-
-A "naive" variant rings every vertex at rate 1 and rejects rate-0 rings;
-it is slower but exposes every clock ring, which the survival-time
-diagnostics need.
+Generator must call engine.close() first.  All three loops take their
+next ring from one method, _IndexedSet.ring: an Exp(k) gap over the k
+armed items, then a uniform item.
 """
 
 from __future__ import annotations
@@ -160,11 +158,6 @@ def verify_counts(cfg: Configuration) -> None:
         raise CountMismatchError(v, int(rebuilt[v]), int(cfg.ones_nbr[v]))
 
 
-def _exp_variate(rng: np.random.Generator, rate: float) -> float:
-    # inverse CDF for cross-platform reproducibility
-    return -math.log1p(-rng.random()) / rate
-
-
 _U32 = 0xFFFFFFFF
 _TWO_M53 = 2.0**-53
 COLD_DRAWS = 8  # draws served straight from the Generator before blocks start
@@ -180,15 +173,15 @@ def _keeps_half_word(kind: type) -> bool:
 class DrawStream:
     """The draws of a Generator, served from raw blocks of its bit generator.
 
-    exponential(rate) returns exactly -log1p(-rng.random()) / rate (as
-    _exp_variate does) and index(k) exactly int(rng.integers(k)), for
-    1 <= k <= 2**32.  numpy's random() is (u >> 11) * 2**-53 of one raw
-    64-bit word u; integers(k) is Lemire's bounded method on 32-bit draws
-    (Lemire 2019, ACM TOMACS 29(1)), where a fresh word yields its low
-    half and keeps the high half in the state's has_uint32/uinteger for
-    the next 32-bit draw; k = 1 draws nothing, k = 2**32 returns the
-    32-bit draw itself.  Both are reproduced here from
-    bit_generator.random_raw(m).tolist() blocks.
+    exponential(rate) returns exactly -log1p(-rng.random()) / rate (the
+    inverse CDF, for cross-platform reproducibility) and index(k) exactly
+    int(rng.integers(k)), for 1 <= k <= 2**32.  numpy's random() is
+    (u >> 11) * 2**-53 of one raw 64-bit word u; integers(k) is Lemire's
+    bounded method on 32-bit draws (Lemire 2019, ACM TOMACS 29(1)), where
+    a fresh word yields its low half and keeps the high half in the
+    state's has_uint32/uinteger for the next 32-bit draw; k = 1 draws
+    nothing, k = 2**32 returns the 32-bit draw itself.  Both are
+    reproduced here from bit_generator.random_raw(m).tolist() blocks.
 
     The first COLD_DRAWS draws go to the Generator itself, so a short run
     never pays for the state read at the switch to blocks.  close() rewinds
@@ -332,6 +325,21 @@ class _IndexedSet:
             self.items.pop()
             self.pos[x] = -1
 
+    def ring(self, draws: DrawStream, t: float, horizon: float):
+        """The next ring of k unit-rate clocks, one per item, after time t.
+
+        Returns (time, item), or None when the set is empty (no draw) or
+        the Exp(k) gap reaches the horizon (no index drawn).
+        """
+        items = self.items
+        k = len(items)
+        if k == 0:
+            return None
+        t += draws.exponential(k)
+        if t >= horizon:
+            return None
+        return t, items[draws.index(k)]
+
 
 @cache
 def rate_table(d: int, kind: str) -> np.ndarray:
@@ -377,31 +385,21 @@ def flip_and_count(bits, ones_nbr, x: int, new: int, nbrs, w: int) -> int:
 class EventEngine:
     """Gillespie loop over the active set for one of the two dynamics.
 
-    naive=True switches to the rejection variant: total rate r^d, vertex
-    uniform over all vertices, no-op when the rate there is 0.  With
-    record_rings=True (naive only) the first ring time of every vertex is
-    kept in first_ring.  Draws go through a DrawStream on rng: call
-    close() before drawing from rng directly again (run does).
+    Draws go through a DrawStream on rng: call close() before drawing from
+    rng directly again (run does).
     """
 
-    def __init__(self, cfg: Configuration, kind: str, rng: np.random.Generator,
-                 naive: bool = False, record_rings: bool = False):
-        if record_rings and not naive:
-            raise ValueError("ring recording requires the naive variant")
+    def __init__(self, cfg: Configuration, kind: str, rng: np.random.Generator):
         shape = cfg.shape
         self._rates = rate_rows(shape.d, kind)
         self.cfg = cfg
         # views of the live arrays: scalar reads and writes go through these
         self.bits_view = memoryview(cfg.bits)
         self.ones_view = memoryview(cfg.ones_nbr)
-        self.kind = kind
         self.draws = DrawStream(rng)
-        self.naive = naive
         self.time = 0.0
-        self._n = shape.n
         self._nbrs, self._w = neighbor_lists(shape)
         self.last_nbrs: list[int] = []  # distinct neighbors of the last flip
-        self.first_ring = [math.inf] * shape.n if record_rings else None
         # ascending vertex order, as adding them one by one would give
         active = np.flatnonzero(rate_table(shape.d, kind)[cfg.bits, cfg.ones_nbr])
         self.active = _IndexedSet(shape.n, active.tolist())
@@ -418,70 +416,43 @@ class EventEngine:
         bits, ones = self.bits_view, self.ones_view
         self.last_nbrs = nbrs = self._nbrs(x)
         new = flip_and_count(bits, ones, x, 1 - bits[x], nbrs, self._w)
-        if not self.naive:
-            # walk x and its neighbors in set order: the order of adds and
-            # removes fixes active.items, and with it every later draw
-            touched = set(nbrs)
-            touched.add(x)
-            rates = self._rates
-            active = self.active
-            pos = active.pos
-            for y in touched:
-                if rates[bits[y]][ones[y]]:
-                    if pos[y] < 0:
-                        active.add(y)
-                elif pos[y] >= 0:
-                    active.remove(y)
+        # walk x and its neighbors in set order: the order of adds and
+        # removes fixes active.items, and with it every later draw
+        touched = set(nbrs)
+        touched.add(x)
+        rates = self._rates
+        active = self.active
+        pos = active.pos
+        for y in touched:
+            if rates[bits[y]][ones[y]]:
+                if pos[y] < 0:
+                    active.add(y)
+            elif pos[y] >= 0:
+                active.remove(y)
         return new
 
     def step(self, horizon: float) -> FlipEvent | None:
         """Advance to the next flip event, or to the horizon if none occurs."""
-        draws = self.draws
-        if self.naive:
-            n = self._n
-            bits, ones = self.bits_view, self.ones_view
-            while True:
-                dt = draws.exponential(n)
-                if self.time + dt >= horizon:
-                    self.time = horizon
-                    return None
-                self.time += dt
-                x = draws.index(n)
-                if self.first_ring is not None and self.first_ring[x] == math.inf:
-                    self.first_ring[x] = self.time
-                if self._rates[bits[x]][ones[x]]:
-                    return FlipEvent(self.time, x, self._apply_flip(x))
-        else:
-            items = self.active.items
-            k = len(items)
-            if k == 0:
-                self.time = horizon
-                return None
-            t = self.time + draws.exponential(k)
-            if t >= horizon:
-                self.time = horizon
-                return None
-            self.time = t
-            x = items[draws.index(k)]
-            return FlipEvent(t, x, self._apply_flip(x))
+        ring = self.active.ring(self.draws, self.time, horizon)
+        if ring is None:
+            self.time = horizon
+            return None
+        self.time, x = ring
+        return FlipEvent(self.time, x, self._apply_flip(x))
 
 
 def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
-        observers=(), naive: bool = False, record_rings: bool = False,
-        engine_out: list | None = None) -> Trajectory:
+        observers=()) -> Trajectory:
     """Simulate the dynamics on [0, T], notifying observers at 0, events, T.
 
     Observers are callables observer(time, engine, event_or_None); they see
-    the live post-flip state.  engine_out, if given, receives the engine
-    (for ring times and final-state access).  rng is in sync with the
-    run's draws on return, also when an observer raises.
+    the live post-flip state.  rng is in sync with the run's draws on
+    return, also when an observer raises.
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     initial = cfg.copy()
-    engine = EventEngine(cfg, kind, rng, naive=naive, record_rings=record_rings)
-    if engine_out is not None:
-        engine_out.append(engine)
+    engine = EventEngine(cfg, kind, rng)
     events: list[FlipEvent] = []
     try:
         for obs in observers:

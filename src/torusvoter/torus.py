@@ -11,7 +11,6 @@ one fills.  On r = 2 the up and down neighbor along dimension i coincide,
 so the d distinct neighbors are x ^ (1 << i), each with weight 2, computed
 by XOR with no table.  On r >= 3 all 2d neighbors are distinct (weight 1)
 and come from the cached table, or from neighbors() past its size limit.
-neighbor_kernel gives the same lists as int64 arrays.
 """
 
 from __future__ import annotations
@@ -125,12 +124,6 @@ def neighbor_lists(shape: TorusShape):
     if table is not None:
         return (lambda x: table[x].tolist()), 1
     return (lambda x: list(neighbors(shape, x))), 1
-
-
-def neighbor_kernel(shape: TorusShape):
-    """neighbor_lists with each neighbor list as an int64 array."""
-    nbrs, w = neighbor_lists(shape)
-    return (lambda x: np.array(nbrs(x), dtype=np.int64)), w
 
 
 def shared_neighbors(shape: TorusShape, x: int, y: int) -> frozenset[int]:

@@ -1,10 +1,14 @@
 """Independent enumeration oracles used to check the closed-form module,
-and scalar references for vectorised statistics."""
+scalar references for vectorised statistics, and the reference samplers
+that only tests use: the rejection engine and the rightward-only path."""
 
 import itertools
+import math
 
+from torusvoter.ballgame import BoxState, rightward_move
 from torusvoter.observables import ObservableSeries, fluid
-from torusvoter.torus import TorusShape, neighbors
+from torusvoter.spin import FlipEvent, Trajectory, flip_and_count, rate_rows
+from torusvoter.torus import TorusShape, neighbor_lists, neighbors
 
 
 def enumerate_C0_moments(shape: TorusShape, p: float):
@@ -57,3 +61,62 @@ def sup_deviation_loop(series: ObservableSeries, p: float, T: float) -> float:
             best = dev
         f0 = f1  # fluid at times[i + 1], unless that lies past T and ends the loop
     return best
+
+
+def _exp_variate(rng, rate: float) -> float:
+    # inverse CDF, as spin.DrawStream.exponential computes it
+    return -math.log1p(-rng.random()) / rate
+
+
+def rejection_run(cfg, kind: str, T: float, rng):
+    """The rejection ("naive") engine: (trajectory, first ring per vertex).
+
+    Every vertex rings at rate 1: the gap is Exp(n), the ringing vertex is
+    uniform over all n, and a ring where the rate is 0 changes nothing.
+    first_ring[x] is the time of x's first ring (math.inf if none).  The
+    draws are _exp_variate(rng, n) then int(rng.integers(n)), as the
+    engine's DrawStream serves them, and cfg ends in the final state.
+    """
+    initial = cfg.copy()
+    n = cfg.shape.n
+    rates = rate_rows(cfg.shape.d, kind)
+    nbrs_of, w = neighbor_lists(cfg.shape)
+    bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
+    first_ring = [math.inf] * n
+    events, t = [], 0.0
+    while True:
+        t += _exp_variate(rng, n)
+        if t >= T:
+            break
+        x = int(rng.integers(n))
+        if first_ring[x] == math.inf:
+            first_ring[x] = t
+        if rates[bits[x]][ones[x]]:
+            new = flip_and_count(bits, ones, x, 1 - bits[x], nbrs_of(x), w)
+            events.append(FlipEvent(t, x, new))
+    return Trajectory(initial, events, T), first_ring
+
+
+def approach2_run(box: BoxState, T: float, rng) -> ObservableSeries:
+    """C_hat_t series: moves at rate C_hat_t, never moving balls left."""
+    if T <= 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    box = box.copy()
+    t = 0.0
+    times, values = [0.0], [float(box.upper_mass)]
+    while True:
+        rate = box.upper_mass
+        if rate == 0:
+            break  # frozen
+        t += _exp_variate(rng, rate)
+        if t >= T:
+            break
+        rightward_move(box, rng)
+        new = box.upper_mass
+        assert new >= values[-1], "rightward process lost upper mass"
+        if new != values[-1]:
+            times.append(t)
+            values.append(float(new))
+        if box.counts[:box.d].sum() == 0:
+            break  # left region drained: moves only shuffle the right region
+    return ObservableSeries(times, values, T)

@@ -6,7 +6,7 @@ from scipy.stats import ks_2samp
 
 from torusvoter import ballgame
 from torusvoter.ballgame import (APPROACHES, MAX_JUMPS, BoxState,
-                                 approach2_run, approach3_init, approach4_run,
+                                 approach3_init, approach4_run,
                                  boxes_from_config,
                                  dominance_experiment, lump_boxes, p_zero,
                                  replay_boxes, rightward_counts, rightward_move,
@@ -17,6 +17,8 @@ from torusvoter.spin import (THRESHOLD, RngStream, build_ones_nbr,
                              config_from_bits, run, sample_product,
                              sample_product_batch)
 from torusvoter.torus import TorusShape, neighbors
+
+from bruteforce import approach2_run
 
 
 def rng(seed=0, stream=0):

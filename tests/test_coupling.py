@@ -10,6 +10,8 @@ from torusvoter.spin import (THRESHOLD, RngStream, config_from_bits, run,
                              sample_product, verify_counts)
 from torusvoter.torus import TorusShape
 
+from bruteforce import rejection_run
+
 
 def rng(seed=0, stream=0):
     return RngStream(seed, stream).generator()
@@ -198,12 +200,10 @@ class TestSurvival:
         for stream in range(20):
             r = rng(13, stream)
             cfg = sample_product(shape, 0.5, r)
-            engines = []
-            traj = run(cfg, THRESHOLD, 2.0, r, naive=True, record_rings=True,
-                       engine_out=engines)
-            record = survival_times(traj, first_ring=engines[0].first_ring)
+            traj, first_ring = rejection_run(cfg, THRESHOLD, 2.0, r)
+            record = survival_times(traj)
             for x in record.vertices:
-                assert record.tau[x] >= record.first_ring[x]
+                assert record.tau[x] >= first_ring[x]
 
     def test_censoring(self):
         shape = TorusShape(1, 4)

@@ -105,6 +105,32 @@ def test_mt19937_refused():
         DrawStream(np.random.Generator(np.random.MT19937(1)))
 
 
+@pytest.mark.parametrize("has_uint32", [0, 1])
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_ring_draw_contract(bit_generator, has_uint32):
+    """_IndexedSet.ring: an empty set draws nothing, a stop at the horizon
+    one random(), a ring one random() and then one integers(k)."""
+    g, h = _twins(bit_generator, 61, has_uint32)
+    draws = DrawStream(g)
+    empty = spin._IndexedSet(9)
+    arms = spin._IndexedSet(9, [4, 0, 7])
+    t = 0.0
+    for _ in range(2 * spin.COLD_DRAWS):  # in the cold phase and past it
+        assert empty.ring(draws, t, math.inf) is None
+        draws.close()
+        assert _same_state(g.bit_generator.state, h.bit_generator.state)
+        assert arms.ring(draws, t, t) is None  # every gap reaches t
+        draws.close()
+        h.random()
+        assert _same_state(g.bit_generator.state, h.bit_generator.state)
+        ring = arms.ring(draws, t, math.inf)
+        draws.close()
+        gap = -math.log1p(-h.random()) / 3
+        assert ring == (t + gap, arms.items[int(h.integers(3))])
+        assert _same_state(g.bit_generator.state, h.bit_generator.state)
+        t = ring[0]
+
+
 @pytest.mark.parametrize("kind", [THRESHOLD, DEATH])
 def test_consecutive_runs_match_slot_loop(kind):
     """The E_T pattern: product draws and runs alternate on one Generator.

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from torusvoter.harness import ExperimentSpec, run_experiment
-from torusvoter.spin import (DEATH, THRESHOLD, EventEngine, RngStream, _exp_variate,
-                             _IndexedSet, death_rate, sample_product, threshold_rate)
+from torusvoter.spin import (DEATH, THRESHOLD, EventEngine, RngStream, _IndexedSet,
+                             death_rate, sample_product, threshold_rate)
 from torusvoter.torus import TorusShape, neighbors
+
+from bruteforce import _exp_variate
 
 GOLDEN = {
     "simulate_r2_d8": (

@@ -57,6 +57,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="length"):
             spec(init_bits="010").validate()  # r^d = 9
         spec(init_bits="010110011").validate()
+        spec(mode="oracle", init_bits="010110011").validate()
+
+    @pytest.mark.parametrize("mode,d,p", [("couple", (2,), (0.3,)),
+                                          ("couple", (2,), (0.3, 0.45)),
+                                          ("sweep", (2, 3, 4), (0.3,)),
+                                          ("ballgame", (2,), (0.3,)),
+                                          ("ldp", (2,), (0.3,))])
+    def test_init_bits_refused_where_ignored(self, mode, d, p):
+        with pytest.raises(ValidationError, match="init_bits is used only"):
+            spec(mode=mode, d=d, r=3, p=p, init_bits="010110011").validate()
 
     def test_time_grid(self):
         g = time_grid(spec(T=2.0, grid=5))
@@ -291,6 +301,19 @@ class TestCliExitCodes:
         assert code == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["couple", "--d", "2", "--p", "0.3"],
+        ["couple", "--d", "2", "--p", "0.3,0.45"],
+        ["sweep", "--d", "2,3,4", "--p", "0.3"],
+        ["ballgame", "--d", "2", "--p", "0.3"],
+        ["ldp", "--d", "2", "--p", "0.3"]])
+    def test_init_refused_where_ignored(self, argv, capsys):
+        code = main(argv + ["--r", "2", "--T", "0.5", "--replicas", "2",
+                            "--init", "1111"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "init_bits" in err
+
     def test_capacity_error(self, capsys):
         code = main(["oracle", "--d", "3", "--r", "3", "--p", "0.4",
                      "--init", "0" * 27])
@@ -340,3 +363,29 @@ class TestCliExitCodes:
         assert code == 0
         assert (out / "rows.csv").exists()
         assert (out / "summary.json").exists()
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    """bench/tracing.py wraps package functions by name; a renamed or
+    removed one makes install raise AttributeError.  Runs every mode but
+    ldp under the tracer in a fresh interpreter."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = (
+        "import sys, torusvoter, torusvoter.harness as h\n"
+        f"sys.path.insert(0, {bench!r})\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer, torusvoter)\n"
+        "base = dict(r=2, T=0.5, replicas=2, seed=3)\n"
+        "for mode, d, p in [('simulate', (4,), (0.3,)), ('couple', (4,), (0.3,)),\n"
+        "                   ('couple', (4,), (0.3, 0.45)), ('sweep', (2, 3, 4), (0.3,)),\n"
+        "                   ('ballgame', (6,), (0.3,)), ('oracle', (2,), (0.3,))]:\n"
+        "    h.run_experiment(h.ExperimentSpec(mode=mode, d=d, p=p, **base))\n"
+        "m = tracer.layer_metrics(1)\n"
+        "print(m['spin.step.calls'], m['coupling.check.calls'])\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps, checks = map(float, proc.stdout.split())
+    assert steps > 0 and checks > 0

@@ -14,6 +14,8 @@ from torusvoter.spin import (DEATH, THRESHOLD, Configuration, CountMismatchError
                              sample_death_counts, threshold_rate, verify_counts)
 from torusvoter.torus import TorusShape
 
+from bruteforce import rejection_run
+
 
 def rng(seed=0, stream=0):
     return RngStream(seed, stream).generator()
@@ -270,17 +272,13 @@ def test_naive_variant_matches_active_set():
     for i in range(reps):
         r = rng(10, i)
         cfg = config_from_bits(shape, bits)
-        eng = EventEngine(cfg, THRESHOLD, r, naive=True)
         count = cfg.ones_count()
+        traj, _ = rejection_run(cfg, THRESHOLD, t_grid[-1] + 1e-9, r)
         j = 0
-        while j < len(t_grid):
-            ev = eng.step(t_grid[-1] + 1e-9)
-            t_ev = eng.time if ev is None else ev.time
-            while j < len(t_grid) and t_grid[j] < t_ev:
+        for ev in traj.events:
+            while j < len(t_grid) and t_grid[j] < ev.time:
                 sums[j] += count
                 j += 1
-            if ev is None:
-                break
             count += 1 if ev.new_value == 1 else -1
         while j < len(t_grid):
             sums[j] += count
