@@ -128,18 +128,38 @@ class TestTwoHop:
             assert z != 0
 
 
-@pytest.mark.parametrize("cached", [True, False])
-@pytest.mark.parametrize("d,r", [(1, 2), (5, 2), (1, 3), (3, 3), (2, 5)])
-def test_neighbor_lists_are_the_distinct_slots(d, r, cached, monkeypatch):
+def _table_limit(cached, monkeypatch):
     if not cached:
         monkeypatch.setattr(torus, "_TABLE_ENTRY_LIMIT", 0)
         monkeypatch.setattr(torus, "_TABLE_CACHE", {})
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("d,r", [(1, 2), (5, 2), (1, 3), (3, 3), (2, 5)])
+def test_neighbor_kernel_is_the_distinct_slots(d, r, cached, monkeypatch):
+    _table_limit(cached, monkeypatch)
     shape = TorusShape(d, r)
     lists, w = neighbor_lists(shape)
     assert w == (2 if r == 2 else 1)
     for x in range(shape.n):
         slots = neighbors(shape, x)
+        distinct = lists(x)
+        assert distinct == list(dict.fromkeys(slots))
+        assert sorted(distinct * w) == sorted(slots)
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("d,r", [(1, 2), (5, 2), (1, 3), (3, 3), (2, 5)])
+def test_neighbor_lists_match_kernel(d, r, cached, monkeypatch):
+    """The lists are plain ints in the kernel's closed form: x ^ (1 << i)
+    on r = 2, and all 2d slots in neighbors() order on r >= 3."""
+    _table_limit(cached, monkeypatch)
+    shape = TorusShape(d, r)
+    lists, _ = neighbor_lists(shape)
+    for x in range(shape.n):
         got = lists(x)
         assert type(got) is list and all(type(y) is int for y in got)
-        assert got == list(dict.fromkeys(slots))
-        assert sorted(got * w) == sorted(slots)
+        if r == 2:
+            assert got == [x ^ (1 << i) for i in range(d)]
+        else:
+            assert got == list(neighbors(shape, x))
