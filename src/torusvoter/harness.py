@@ -61,8 +61,8 @@ class ExperimentSpec:
             bad.append(f"mode {self.mode} takes a single density, got {self.p}")
         if len(self.p) == 2 and self.p[0] > self.p[1]:
             bad.append(f"couple needs p1 <= p2, got {self.p}")
-        if self.T <= 0:
-            bad.append(f"T must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            bad.append(f"T must be finite and positive, got {self.T}")
         if self.replicas < 1:
             bad.append(f"replicas must be >= 1, got {self.replicas}")
         if self.grid < 2:

@@ -2,8 +2,11 @@
 
 Everything here is deterministic: binomial tails in log-space, the variance
 of the initial |C_0| count by pair decomposition, the transient solution of
-the full 2^n-state chain by uniformization, and the exact law of the death
-process.
+the 2^n-state chain by uniformization, and the exact law of the death
+process.  The chain is solved on the orbits of its states under the r^d
+torus translations, about 2^n / n of them: the threshold rule, the product
+law and |A_t| are translation invariant, so the lumped chain gives E|A_t|
+exactly (UniformizedSeries).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -202,44 +206,111 @@ def death_law(shape: TorusShape, p: float, t: float) -> DeathLaw:
     return DeathLaw(shape.n, q, shape.n * q, shape.n * q * (1.0 - q))
 
 
-def _state_tables(shape: TorusShape):
-    """Per-state vertex bits, ones-neighbor counts, and flip activity."""
+class _StateTables(NamedTuple):
+    """The translation orbits of the 2^n states, and the flip activity of
+    each orbit's least state.
+
+    reps[j] is the least state of orbit j, orbit[s] the orbit of state s
+    and sizes[j] the number of states in orbit j; bits[x, j] is vertex x
+    of reps[j], and active[x, j] whether x may flip there.
+    """
+
+    reps: np.ndarray
+    orbit: np.ndarray
+    sizes: np.ndarray
+    bits: np.ndarray
+    active: np.ndarray
+
+
+def _unit_shift(shape: TorusShape, axis: int):
+    """The translation x -> x + e_axis as a bit permutation of states:
+    s -> ((s & low) << stride) | ((s & top) >> wrap), with top the vertices
+    on the last layer along axis, which wrap to the first."""
+    stride = shape.r ** axis
+    wrap = (shape.r - 1) * stride
+    top = sum(1 << x for x in range(shape.n) if x // stride % shape.r == shape.r - 1)
+    return (1 << shape.n) - 1 - top, top, stride, wrap
+
+
+def _canonical_states(shape: TorusShape) -> np.ndarray:
+    """The least translate of every state.
+
+    A running minimum over the r^d translations, each reached from the one
+    before by a unit shift, so at most d + 1 images exist at once.
+    """
+    states = np.arange(1 << shape.n, dtype=np.uint32)
+    canon = states.copy()
+    shifts = [_unit_shift(shape, axis) for axis in range(shape.d)]
+
+    def visit(image, axis):
+        low, top, stride, wrap = shifts[axis]
+        for step in range(shape.r):
+            if step:
+                moved = image & top
+                moved >>= wrap
+                image = image & low
+                image <<= stride
+                image |= moved
+            if axis + 1 < shape.d:
+                visit(image, axis + 1)
+            else:
+                np.minimum(canon, image, out=canon)
+
+    visit(states, 0)
+    return canon
+
+
+def _state_tables(shape: TorusShape) -> _StateTables:
+    """Translation orbits, and per-representative vertex bits, ones-neighbor
+    counts and flip activity."""
+    reps, orbit, sizes = np.unique(_canonical_states(shape), return_inverse=True,
+                                   return_counts=True)
     n = shape.n
-    size = 1 << n
-    states = np.arange(size, dtype=np.uint32)
-    bits = np.empty((n, size), dtype=np.int8)
+    bits = np.empty((n, reps.size), dtype=np.int8)
     for x in range(n):
-        bits[x] = (states >> x) & 1
+        bits[x] = (reps >> x) & 1
     nbrs_of, w = neighbor_lists(shape)
-    ones_nbr = np.zeros((n, size), dtype=np.int16)
+    ones_nbr = np.zeros((n, reps.size), dtype=np.int16)
     for x in range(n):
         for y in nbrs_of(x):
             ones_nbr[x] += w * bits[y]
     d = shape.d
     disagree = np.where(bits == 0, ones_nbr, 2 * d - ones_nbr)
-    return bits, disagree >= d
+    return _StateTables(reps, orbit, sizes, bits, disagree >= d)
 
 
-def _uniformized_kernel(shape: TorusShape, active: np.ndarray) -> sparse.csr_matrix:
+def _uniformized_kernel(shape: TorusShape, tables: _StateTables) -> sparse.csr_matrix:
+    """The transpose of the lumped kernel P = I + Q/n on the orbits.
+
+    Row B, column A holds the chance that one step from reps[A] lands in
+    orbit B: 1/n for each active vertex whose flip lands there (two flips
+    may land in one orbit, and their entries sum), and on the diagonal
+    what is left.  A flip changes |A|, so no flip stays in its orbit.
+    """
     n = shape.n
-    size = 1 << n
-    rows, cols = [], []
+    size = tables.reps.size
+    src, dst = [], []
     for x in range(n):
-        src = np.nonzero(active[x])[0]
-        rows.append(src)
-        cols.append(src ^ (1 << x))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.full(rows.size, 1.0 / n)
-    P = sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
-    diag = 1.0 - np.asarray(P.sum(axis=1)).ravel()
-    return P + sparse.diags(diag)
+        flips = np.flatnonzero(tables.active[x])
+        src.append(flips)
+        dst.append(tables.orbit[tables.reps[flips] ^ (1 << x)])
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
+    moves = sparse.csr_matrix((np.full(src.size, 1.0 / n), (dst, src)),
+                              shape=(size, size))
+    stay = 1.0 - np.asarray(moves.sum(axis=0)).ravel()
+    return (moves + sparse.diags(stay)).tocsr()
 
 
 def _check_capacity(shape: TorusShape) -> None:
     if shape.n > CTMC_MAX_VERTICES:
         raise CapacityError(f"{shape.n} vertices means 2^{shape.n} states; "
                             f"limit is 2^{CTMC_MAX_VERTICES}")
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
 def _start_key(initial):
@@ -253,12 +324,23 @@ def _start_key(initial):
 
 
 class UniformizedSeries:
-    """The uniformized chain of one (shape, start), shared by every time t.
+    """The uniformized chain of one (shape, start), lumped onto translation
+    orbits and shared by every time t.
 
     With P = I + Q/n, E|A_t| = sum_k Pois(k; n t) a_k, where
-    a_k = v_0 P^k . popcount does not depend on t.  The state tables and P
-    are built once; a_k is cached and the series extends by one matvec per
-    new k, so a grid of times costs the matvecs of its largest time.
+    a_k = v_0 P^k . popcount does not depend on t.  The threshold rule
+    reads only the neighborhood of a vertex, so a translation of the torus
+    maps the moves out of s to the moves out of its translate: every state
+    of an orbit has the same chance to step into each orbit.  The chain is
+    strongly lumpable onto the orbits (Kemeny & Snell 1960, sec. 6.3), and
+    the orbit masses v_k evolve by the lumped kernel, exactly and for any
+    start; the product law and |A| are constant on orbits, so a_k is read
+    off the orbit masses.  A density start gives orbit j the mass
+    sizes[j] p^k (1-p)^(n-k); a fixed state puts mass 1 on its orbit,
+    which is the orbit-mass vector of the delta law.  The orbits and
+    kernel are built once; a_k is cached and the series extends by one
+    matvec per new k, so a grid of times costs the matvecs of its largest
+    time.
     """
 
     def __init__(self, shape: TorusShape, initial):
@@ -266,13 +348,13 @@ class UniformizedSeries:
         self.shape = shape
         self.start = _start_key(initial)
         n = shape.n
-        bits, active = _state_tables(shape)
-        self._popcount = bits.sum(axis=0).astype(float)
-        self._P = _uniformized_kernel(shape, active)
+        tables = _state_tables(shape)
+        self._popcount = tables.bits.sum(axis=0).astype(float)
+        self._PT = _uniformized_kernel(shape, tables)
         kind, value = self.start
         if kind == "state":
-            v = np.zeros(1 << n)
-            v[value] = 1.0
+            v = np.zeros(tables.reps.size)
+            v[tables.orbit[value]] = 1.0
         else:
             k = self._popcount
             if value == 0.0:
@@ -280,7 +362,8 @@ class UniformizedSeries:
             elif value == 1.0:
                 v = (k == n).astype(float)
             else:
-                v = np.exp(k * math.log(value) + (n - k) * math.log1p(-value))
+                v = tables.sizes * np.exp(k * math.log(value)
+                                          + (n - k) * math.log1p(-value))
         self._v = v
         self._a = [self._ones(v)]
 
@@ -291,14 +374,13 @@ class UniformizedSeries:
 
     def _term(self, k: int) -> float:
         while len(self._a) <= k:
-            self._v = self._v @ self._P
+            self._v = self._PT @ self._v
             self._a.append(self._ones(self._v))
         return self._a[k]
 
     def mean_ones(self, t: float, tol: float = 1e-10) -> float:
         """E|A_t| to within tol; ValueError past MAX_MATVECS Poisson terms."""
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        _check_time(t)
         n = self.shape.n
         lam_t = n * t
         w = math.exp(-lam_t)
@@ -359,7 +441,8 @@ def _too_many_terms(t: float, n: int) -> ValueError:
 
 def ctmc_mean_ones(shape: TorusShape, initial, t: float, tol: float = 1e-10, *,
                    series: UniformizedSeries | None = None) -> float:
-    """Exact E|A_t| for the voter model by uniformization over all 2^n states.
+    """Exact E|A_t| for the voter model by uniformization over the
+    translation orbits of the 2^n states.
 
     initial may be a Configuration (delta start) or a density p in [0, 1]
     (product-law start, handled by the product weights on states).  A
@@ -367,8 +450,7 @@ def ctmc_mean_ones(shape: TorusShape, initial, t: float, tol: float = 1e-10, *,
     fresh one is built.
     """
     _check_capacity(shape)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if series is None:
         series = UniformizedSeries(shape, initial)
     else:

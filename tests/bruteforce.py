@@ -1,14 +1,19 @@
 """Independent enumeration oracles used to check the closed-form module,
-scalar references for vectorised statistics, and the reference samplers
-that only tests use: the rejection engine and the rightward-only path."""
+scalar references for vectorised statistics, the reference samplers
+that only tests use (the rejection engine and the rightward-only path),
+and the uniformized CTMC over all 2^n states that the orbit chain lumps."""
 
 import itertools
 import math
 
+import numpy as np
+from scipy import sparse
+
 from torusvoter.ballgame import BoxState, rightward_move
 from torusvoter.observables import ObservableSeries, fluid
+from torusvoter.oracle import UniformizedSeries, _check_capacity, _start_key
 from torusvoter.spin import FlipEvent, Trajectory, flip_and_count, rate_rows
-from torusvoter.torus import TorusShape, neighbor_lists, neighbors
+from torusvoter.torus import TorusShape, decode, encode, neighbor_lists, neighbors
 
 
 def enumerate_C0_moments(shape: TorusShape, p: float):
@@ -120,3 +125,91 @@ def approach2_run(box: BoxState, T: float, rng) -> ObservableSeries:
         if box.counts[:box.d].sum() == 0:
             break  # left region drained: moves only shuffle the right region
     return ObservableSeries(times, values, T)
+
+
+def full_state_tables(shape: TorusShape):
+    """Per-state vertex bits, ones-neighbor counts, and flip activity."""
+    n = shape.n
+    size = 1 << n
+    states = np.arange(size, dtype=np.uint32)
+    bits = np.empty((n, size), dtype=np.int8)
+    for x in range(n):
+        bits[x] = (states >> x) & 1
+    nbrs_of, w = neighbor_lists(shape)
+    ones_nbr = np.zeros((n, size), dtype=np.int16)
+    for x in range(n):
+        for y in nbrs_of(x):
+            ones_nbr[x] += w * bits[y]
+    d = shape.d
+    disagree = np.where(bits == 0, ones_nbr, 2 * d - ones_nbr)
+    return bits, disagree >= d
+
+
+def full_uniformized_kernel(shape: TorusShape, active: np.ndarray) -> sparse.csr_matrix:
+    """P = I + Q/n over all 2^n states, row s holding the moves out of s."""
+    n = shape.n
+    size = 1 << n
+    rows, cols = [], []
+    for x in range(n):
+        src = np.nonzero(active[x])[0]
+        rows.append(src)
+        cols.append(src ^ (1 << x))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.full(rows.size, 1.0 / n)
+    P = sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
+    diag = 1.0 - np.asarray(P.sum(axis=1)).ravel()
+    return P + sparse.diags(diag)
+
+
+class FullChainSeries(UniformizedSeries):
+    """UniformizedSeries over all 2^n states: the unlumped reference.
+
+    The start vector weighs every state by itself and each term is the
+    row-vector step v @ P; the Poisson weights are UniformizedSeries'.
+    """
+
+    def __init__(self, shape: TorusShape, initial):
+        _check_capacity(shape)
+        self.shape = shape
+        self.start = _start_key(initial)
+        n = shape.n
+        bits, active = full_state_tables(shape)
+        self._popcount = bits.sum(axis=0).astype(float)
+        self._P = full_uniformized_kernel(shape, active)
+        kind, value = self.start
+        if kind == "state":
+            v = np.zeros(1 << n)
+            v[value] = 1.0
+        else:
+            k = self._popcount
+            if value == 0.0:
+                v = (k == 0).astype(float)
+            elif value == 1.0:
+                v = (k == n).astype(float)
+            else:
+                v = np.exp(k * math.log(value) + (n - k) * math.log1p(-value))
+        self._v = v
+        self._a = [self._ones(v)]
+
+    def _term(self, k: int) -> float:
+        while len(self._a) <= k:
+            self._v = self._v @ self._P
+            self._a.append(self._ones(self._v))
+        return self._a[k]
+
+
+def translation_orbits(shape: TorusShape) -> list[int]:
+    """Least translate of every state, translating vertex coordinates one
+    state and one translation vector at a time."""
+    n, r = shape.n, shape.r
+    coords = [decode(x, shape) for x in range(n)]
+    moves = []
+    for shift in itertools.product(range(r), repeat=shape.d):
+        moves.append([encode(tuple((c - 1 + s) % r + 1 for c, s in zip(cx, shift)),
+                             shape) for cx in coords])
+    canon = []
+    for s in range(1 << n):
+        canon.append(min(sum(((s >> x) & 1) << move[x] for x in range(n))
+                         for move in moves))
+    return canon

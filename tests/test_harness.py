@@ -68,6 +68,20 @@ class TestValidation:
         with pytest.raises(ValidationError, match="init_bits is used only"):
             spec(mode=mode, d=d, r=3, p=p, init_bits="010110011").validate()
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode,d,p", [("simulate", (2,), (0.3,)),
+                                          ("couple", (2,), (0.3,)),
+                                          ("couple", (2,), (0.3, 0.45)),
+                                          ("sweep", (2, 3, 4), (0.3,)),
+                                          ("ballgame", (2,), (0.3,)),
+                                          ("oracle", (2,), (0.3,)),
+                                          ("ldp", (2,), (0.3,))],
+                             ids=["simulate", "couple", "couple_monotone", "sweep",
+                                  "ballgame", "oracle", "ldp"])
+    def test_non_finite_horizon_refused(self, mode, d, p, T):
+        with pytest.raises(ValidationError, match="T must be finite"):
+            spec(mode=mode, d=d, p=p, T=T).validate()
+
     def test_time_grid(self):
         g = time_grid(spec(T=2.0, grid=5))
         assert list(g) == [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -344,6 +358,16 @@ class TestCliExitCodes:
         assert capped.stderr.startswith("validation error:")
         assert "uniformization steps" in capped.stderr
         assert "Traceback" not in capped.stderr
+
+    @pytest.mark.parametrize("argv", [["oracle", "--T", "nan"], ["oracle", "--T", "inf"],
+                                      ["simulate", "--T", "nan"]],
+                             ids=["oracle-nan", "oracle-inf", "simulate-nan"])
+    def test_non_finite_horizon(self, argv, capsys):
+        code = main(argv + ["--d", "1", "--r", "4", "--p", "0.4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "T must be finite" in err
+        assert "Traceback" not in err
 
     def test_oracle_large_torus_degrades_gracefully(self):
         result = run_experiment(spec(mode="oracle", d=(5,), r=3, p=(0.4,)))

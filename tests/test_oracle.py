@@ -1,10 +1,12 @@
 import contextlib
+import itertools
 import math
 import signal
 import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from torusvoter import oracle
 from torusvoter.oracle import (CapacityError, UniformizedSeries, binom_logtail,
@@ -15,7 +17,9 @@ from torusvoter.oracle import (CapacityError, UniformizedSeries, binom_logtail,
 from torusvoter.spin import config_from_bits
 from torusvoter.torus import TorusShape, neighbors
 
-from bruteforce import enumerate_C0_moments, enumerate_suffix_count
+from bruteforce import (FullChainSeries, enumerate_C0_moments,
+                        enumerate_suffix_count, full_state_tables,
+                        full_uniformized_kernel, translation_orbits)
 
 
 class TestBinomialTail:
@@ -316,12 +320,110 @@ class TestUniformizedSeries:
         with pytest.raises(ValueError):
             UniformizedSeries(TorusShape(1, 3), 0.4).mean_ones(-1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        shape = TorusShape(1, 4)
+        with pytest.raises(ValueError, match="finite"):
+            UniformizedSeries(shape, 0.4).mean_ones(t)
+        with pytest.raises(ValueError, match="finite"):
+            ctmc_mean_ones(shape, 0.4, t)
+
     @pytest.mark.parametrize("d,r", [(3, 2), (2, 3), (1, 5)])
     def test_state_tables_match_slot_counts(self, d, r):
-        # one +1 per neighbor slot, r=2 counting each distinct neighbor twice
+        # one +1 per neighbor slot, r=2 counting each distinct neighbor twice;
+        # the tables hold one column per orbit, for its least state
         shape = TorusShape(d, r)
-        bits, active = oracle._state_tables(shape)
+        tables = oracle._state_tables(shape)
+        bits, active = tables.bits, tables.active
+        assert np.array_equal(bits, [(tables.reps >> x) & 1 for x in range(shape.n)])
         ones = np.array([sum(bits[y].astype(int) for y in neighbors(shape, x))
                          for x in range(shape.n)])
         disagree = np.where(bits == 0, ones, 2 * d - ones)
         assert np.array_equal(active, disagree >= d)
+        _, full_active = full_state_tables(shape)
+        assert np.array_equal(active, full_active[:, tables.reps])
+
+
+class TestFullChainAgreement:
+    """The orbit chain against the uniformized chain over all 2^n states."""
+
+    TIMES = (0.0, 0.25, 0.8, 2.0)
+
+    @pytest.mark.parametrize("d,r", [(1, 4), (1, 5), (2, 3), (3, 2), (2, 4)])
+    @pytest.mark.parametrize("start", ["density", "delta"])
+    def test_mean_ones_matches(self, d, r, start):
+        shape = TorusShape(d, r)
+        init = 0.3 if start == "density" else _delta_start(shape)
+        full = FullChainSeries(shape, init)
+        for t in self.TIMES:
+            assert abs(ctmc_mean_ones(shape, init, t) - full.mean_ones(t)) <= 1e-12
+
+    @pytest.mark.parametrize("start", ["density", "delta"])
+    def test_poisson_mode_branch_matches(self, start):
+        # n*t = 760: the weights start from the Poisson mode (Fox-Glynn)
+        shape = TorusShape(1, 4)
+        init = 0.4 if start == "density" else config_from_bits(shape, [1, 0, 1, 1])
+        full = FullChainSeries(shape, init)
+        with _deadline(20):
+            assert abs(ctmc_mean_ones(shape, init, 190.0)
+                       - full.mean_ones(190.0)) <= 1e-12
+
+    def test_every_single_state_start(self):
+        shape = TorusShape(2, 3)
+        for s in range(0, 1 << shape.n, 7):
+            init = config_from_bits(shape, [(s >> x) & 1 for x in range(shape.n)])
+            lumped = UniformizedSeries(shape, init)
+            full = FullChainSeries(shape, init)
+            for t in (0.3, 1.5):
+                assert abs(lumped.mean_ones(t) - full.mean_ones(t)) <= 1e-12
+
+
+def _burnside_orbits(shape):
+    """Number of translation orbits (Burnside): the mean over translations g
+    of 2^(cycles of g), where g of order o splits the n vertices into n/o
+    cycles.  4156 on the 4x4 torus."""
+    total = 0
+    for g in itertools.product(range(shape.r), repeat=shape.d):
+        order = math.lcm(*(shape.r // math.gcd(shape.r, gi) for gi in g))
+        total += 2 ** (shape.n // order)
+    return total // shape.n
+
+
+class TestTranslationOrbits:
+    @pytest.mark.parametrize("d,r", [(1, 5), (2, 3), (3, 2), (1, 6), (2, 2)])
+    def test_orbits_are_the_coordinate_translates(self, d, r):
+        shape = TorusShape(d, r)
+        tables = oracle._state_tables(shape)
+        canon = np.array(translation_orbits(shape))
+        assert np.array_equal(tables.reps[tables.orbit], canon)
+        assert np.array_equal(tables.reps, np.unique(canon))
+
+    @pytest.mark.parametrize("d,r", [(1, 4), (1, 5), (2, 3), (3, 2), (2, 4), (4, 2)])
+    def test_orbit_count_and_sizes(self, d, r):
+        shape = TorusShape(d, r)
+        tables = oracle._state_tables(shape)
+        assert tables.reps.size == _burnside_orbits(shape)
+        assert tables.sizes.sum() == 1 << shape.n
+        assert np.array_equal(np.bincount(tables.orbit), tables.sizes)
+        assert np.all(shape.n % tables.sizes == 0)
+        # popcount is constant on each orbit
+        states = np.arange(1 << shape.n)
+        popcount = sum((states >> x) & 1 for x in range(shape.n))
+        assert np.array_equal(popcount, tables.bits.sum(axis=0)[tables.orbit])
+
+    @pytest.mark.parametrize("d,r", [(1, 5), (2, 3), (3, 2)])
+    def test_strongly_lumpable(self, d, r):
+        # for every state s and every orbit B, sum_{u in B} P(s, u) is the
+        # same across the orbit of s, and is the lumped kernel's entry
+        shape = TorusShape(d, r)
+        tables = oracle._state_tables(shape)
+        _, active = full_state_tables(shape)
+        P = full_uniformized_kernel(shape, active)
+        size = 1 << shape.n
+        member = sparse.csr_matrix((np.ones(size), (np.arange(size), tables.orbit)),
+                                   shape=(size, tables.reps.size))
+        to_orbits = (P @ member).toarray()
+        np.testing.assert_allclose(to_orbits, to_orbits[tables.reps[tables.orbit]],
+                                   rtol=0, atol=1e-15)
+        lumped = oracle._uniformized_kernel(shape, tables).T.toarray()
+        np.testing.assert_allclose(lumped, to_orbits[tables.reps], rtol=0, atol=1e-15)
