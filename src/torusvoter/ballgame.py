@@ -36,7 +36,8 @@ import numpy as np
 
 from .observables import (EAccumulator, ObservableSeries, neighbor_histogram,
                           neighbor_histograms)
-from .spin import THRESHOLD, Configuration, flip_and_count, run, sample_product_batch
+from .spin import (THRESHOLD, Configuration, flip_and_count, run, sample_product_batch,
+                   toggle_rows)
 from .torus import TorusShape, neighbor_lists
 
 
@@ -79,13 +80,14 @@ def replay_boxes(traj):
     box = boxes_from_config(cfg)
     yield 0.0, box.copy()
     nbrs_of, w = neighbor_lists(cfg.shape)
+    toggles = toggle_rows(cfg.shape.d, THRESHOLD, w)
     bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
     for ev in traj.events:
         nbrs = nbrs_of(ev.vertex)
         k = cfg.ones_nbr[nbrs]
         np.subtract.at(box.counts, k, 1)
         np.add.at(box.counts, k + (w if ev.new_value == 1 else -w), 1)
-        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs, w)
+        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs, w, toggles)
         yield ev.time, box.copy()
 
 

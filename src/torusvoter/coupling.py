@@ -1,4 +1,4 @@
-"""Coupled constructions with pathwise domination, and survival-time extraction.
+"""Coupled constructions with pathwise domination.
 
 Two couplings are provided:
 
@@ -13,8 +13,13 @@ Two couplings are provided:
   (lower 0, upper 1) get two independent sub-clocks so the order-breaking
   simultaneous flip to (1, 0) never happens.
 
-Both runs read and write the marginals through memoryviews and take the
-threshold rate from the rows of spin.rate_table.  They share one loop,
+Both runs read and write the marginals through memoryviews, flip them with
+the engine's spin.flip_and_count and take the threshold rate from the rows
+of spin.rate_table.  After a flip at x they resync the arms of x, then of
+the neighbors whose rate toggled in the marginal that moved (of every
+neighbor when both moved), in the kernel's order; the other neighbors'
+arms cannot change, so the adds and removes, and every draw, are those of
+a recheck of x and all its neighbors.  They share one loop,
 _coupled_loop, which rings their arms through spin._IndexedSet.ring and a
 spin.DrawStream, as the engine does; each run supplies its arms and a
 fire(t, arm) closure that flips and resyncs them.  rng is in sync with the
@@ -23,16 +28,15 @@ draws when a run returns or raises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .observables import ObservableSeries
-from .spin import (THRESHOLD, Configuration, DrawStream, Trajectory, _IndexedSet,
+from .spin import (DEATH, THRESHOLD, Configuration, DrawStream, _IndexedSet,
                    config_from_bits, flip_and_count, rate_rows, rate_table,
-                   sample_product)
+                   sample_product, toggle_rows)
 from .torus import TorusShape, neighbor_lists
 
 
@@ -93,9 +97,11 @@ def _views(cfg: Configuration):
     return memoryview(cfg.bits), memoryview(cfg.ones_nbr)
 
 
-def _flip(views, x: int, nbrs, w: int) -> int:
+def _flip(views, x: int, nbrs, w: int, toggles) -> tuple[int, list[int]]:
+    """Flip x in one marginal: (new value, neighbors whose rate toggled)."""
     bits, ones = views
-    return flip_and_count(bits, ones, x, 1 - bits[x], nbrs, w)
+    new = 1 - bits[x]
+    return new, flip_and_count(bits, ones, x, new, nbrs, w, toggles)
 
 
 def _threshold_rates(cfg: Configuration) -> np.ndarray:
@@ -124,6 +130,8 @@ def _run_eta_zeta(upper, lower, T, rng, check):
         raise ValueError("coupled start requires identical initial states")
     nbrs_of, w = neighbor_lists(shape)
     rates = rate_rows(shape.d, THRESHOLD)
+    toggles = toggle_rows(shape.d, THRESHOLD, w)
+    death_toggles = toggle_rows(shape.d, DEATH, w)  # all 0: no death rate reads a count
     upper_v, lower_v = _views(upper), _views(lower)
     (ub, uo), (lb, lo) = upper_v, lower_v
     # ascending vertex order, as adding them one by one would give
@@ -133,9 +141,15 @@ def _run_eta_zeta(upper, lower, T, rng, check):
 
     def fire(t, x):
         nbrs = nbrs_of(x)
-        upper_new = _flip(upper_v, x, nbrs, w) if rates[ub[x]][uo[x]] else None
-        lower_new = _flip(lower_v, x, nbrs, w) if lb[x] == 1 else None
-        for y in (x, *nbrs):
+        upper_new = lower_new = None
+        toggled = ()
+        if rates[ub[x]][uo[x]]:
+            upper_new, toggled = _flip(upper_v, x, nbrs, w, toggles)
+        if lb[x] == 1:
+            lower_new, _ = _flip(lower_v, x, nbrs, w, death_toggles)
+        # a death arm changes only at x, a voter arm at x and where the
+        # upper rate toggled: x first, then the kernel's order
+        for y in (x, *toggled):
             if lb[y] == 1 or rates[ub[y]][uo[y]]:
                 if pos[y] < 0:
                     active.add(y)
@@ -164,6 +178,7 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     upper = config_from_bits(shape, u < p2)
     nbrs_of, w = neighbor_lists(shape)
     rates = rate_rows(shape.d, THRESHOLD)
+    toggles = toggle_rows(shape.d, THRESHOLD, w)
     upper_v, lower_v = _views(upper), _views(lower)
     (ub, uo), (lb, lo) = upper_v, lower_v
 
@@ -184,17 +199,22 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
         x, sub = arm >> 1, arm & 1
         nbrs = nbrs_of(x)
         upper_new = lower_new = None
+        toggled = ()
         if lb[x] == ub[x]:
             # shared clock: each marginal flips iff its own rate is 1
             if rates[lb[x]][lo[x]]:
-                lower_new = _flip(lower_v, x, nbrs, w)
+                lower_new, toggled = _flip(lower_v, x, nbrs, w, toggles)
             if rates[ub[x]][uo[x]]:
-                upper_new = _flip(upper_v, x, nbrs, w)
+                upper_new, toggled = _flip(upper_v, x, nbrs, w, toggles)
+            if upper_new is not None and lower_new is not None:
+                toggled = nbrs  # both moved: recheck every neighbor
         elif sub == 0:
-            lower_new = _flip(lower_v, x, nbrs, w)  # discordant 0 -> 1
+            lower_new, toggled = _flip(lower_v, x, nbrs, w, toggles)  # 0 -> 1
         else:
-            upper_new = _flip(upper_v, x, nbrs, w)  # discordant 1 -> 0
-        for y in (x, *nbrs):
+            upper_new, toggled = _flip(upper_v, x, nbrs, w, toggles)  # 1 -> 0
+        # the arms of a neighbor change only where the marginal that moved
+        # toggled its rate: x first, then the kernel's order
+        for y in (x, *toggled):
             want0, want1 = rates[lb[y]][lo[y]], rates[ub[y]][uo[y]]
             if lb[y] == ub[y]:  # concordant: one shared arm
                 want0, want1 = want0 or want1, 0
@@ -241,43 +261,3 @@ def _coupled_loop(upper, lower, arms, fire, T, rng, check) -> CoupledTrajectory:
     if check:
         _check_domination(lower, upper)
     return traj
-
-
-@dataclass
-class SurvivalRecord:
-    """First hit of state 0 per initially-1 vertex, censored at the horizon.
-
-    tau[x] is math.inf when x never reached 0 in [0, T].  Pathwise, tau[x]
-    is at least the first clock ring of x; the active-set engine skips the
-    rings that change nothing, so the check of that bound runs on the
-    rejection engine in tests/bruteforce.py, which records every ring.
-    """
-
-    vertices: list[int]  # A_0, sorted
-    tau: dict[int, float]
-    horizon: float
-
-    def surviving(self, t: float) -> list[int]:
-        return [x for x in self.vertices if self.tau[x] > t]
-
-    def F_series(self) -> ObservableSeries:
-        """|F_t| = #{x in A_0 : tau_x > t}, piecewise constant."""
-        times, values = [0.0], [float(len(self.vertices))]
-        hits = sorted(t for t in self.tau.values() if t < math.inf)
-        count = len(self.vertices)
-        for t in hits:
-            count -= 1
-            times.append(t)
-            values.append(float(count))
-        return ObservableSeries(times, values, self.horizon)
-
-
-def survival_times(traj: Trajectory) -> SurvivalRecord:
-    """Extract tau_x for every x in A_0 from a voter-model trajectory."""
-    a0 = sorted(int(x) for x in np.nonzero(traj.initial.bits)[0])
-    a0_set = set(a0)
-    tau = {x: math.inf for x in a0}
-    for ev in traj.events:
-        if ev.new_value == 0 and ev.vertex in a0_set and tau[ev.vertex] == math.inf:
-            tau[ev.vertex] = ev.time
-    return SurvivalRecord(a0, tau, traj.horizon)

@@ -29,31 +29,6 @@ class ObservableSeries:
 
 
 @dataclass
-class SetClassification:
-    """Membership masks for A (ones), B (zeros), C (>= d one-nbrs), D (<= d)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-    @property
-    def sizes(self):
-        return {k: int(getattr(self, k).sum()) for k in "ABCD"}
-
-
-def classify(cfg: Configuration) -> SetClassification:
-    d = cfg.shape.d
-    ones = cfg.bits.astype(bool)
-    return SetClassification(
-        A=ones,
-        B=~ones,
-        C=cfg.ones_nbr >= d,
-        D=cfg.ones_nbr <= d,
-    )
-
-
-@dataclass
 class NeighborHistogram:
     """h[k] = #vertices with exactly k one-neighbors, k = 0..2d."""
 

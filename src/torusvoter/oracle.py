@@ -7,6 +7,11 @@ process.  The chain is solved on the orbits of its states under the r^d
 torus translations, about 2^n / n of them: the threshold rule, the product
 law and |A_t| are translation invariant, so the lumped chain gives E|A_t|
 exactly (UniformizedSeries).
+
+scipy is imported inside the two functions that use it (binom_logtail and
+the kernel of UniformizedSeries): importing it takes longer than importing
+the rest of the package, and the simulate, couple, sweep and ballgame
+modes never reach either function.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln, logsumexp
 
 from .torus import TorusShape, neighbor_lists, neighbors, two_hop_set
 
@@ -46,6 +49,8 @@ def binom_logtail(n: int, p: float, k: int) -> float:
         return -math.inf
     if p == 1.0:
         return 0.0
+    from scipy.special import gammaln, logsumexp
+
     j = np.arange(k, n + 1)
     logpmf = (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
               + j * math.log(p) + (n - j) * math.log1p(-p))
@@ -279,14 +284,17 @@ def _state_tables(shape: TorusShape) -> _StateTables:
     return _StateTables(reps, orbit, sizes, bits, disagree >= d)
 
 
-def _uniformized_kernel(shape: TorusShape, tables: _StateTables) -> sparse.csr_matrix:
+def _uniformized_kernel(shape: TorusShape, tables: _StateTables):
     """The transpose of the lumped kernel P = I + Q/n on the orbits.
 
     Row B, column A holds the chance that one step from reps[A] lands in
     orbit B: 1/n for each active vertex whose flip lands there (two flips
     may land in one orbit, and their entries sum), and on the diagonal
     what is left.  A flip changes |A|, so no flip stays in its orbit.
+    Returned as a scipy.sparse CSR matrix.
     """
+    from scipy import sparse
+
     n = shape.n
     size = tables.reps.size
     src, dst = [], []

@@ -12,12 +12,17 @@ independent unit-rate Poisson clocks with conditional flips (thinning).
 
 Per event the work is scalar: the state arrays are read and written
 through memoryviews taken once per run, since a memoryview item access
-costs a fraction of a numpy scalar one.  flip_and_count sets x and adds
-+-w to the count of each distinct neighbor in torus.neighbor_lists(x)
-(w = 2 on r = 2, 1 otherwise); the rates of x and its neighbors are then
-read from rate_rows, the two rows of rate_table as tuples of Python ints.
-The numpy arrays stay the live state, so observers and verify_counts see
-every flip.
+costs a fraction of a numpy scalar one.  flip_and_count sets x, adds +-w
+to the count of each distinct neighbor in torus.neighbor_lists(x) (w = 2
+on r = 2, 1 otherwise), and returns the neighbors whose rate toggled, read
+off the cached toggle_rows table in the same pass.  The engine then
+rechecks only what changed, in a fixed order: x leaves the active set iff
+its new rate in rate_rows (the rows of rate_table as tuples of Python
+ints) is 0, and each returned neighbor toggles its membership, in kernel
+order.  That order fixes the active set's item order and so the draws;
+the law does not depend on it, since the ringing vertex is uniform over
+the set whatever its order.  The numpy arrays stay the live state, so
+observers and verify_counts see every flip.
 
 Every Gillespie loop (the engine here and both couplings) draws its
 Exp(k) gap and uniform index through one DrawStream.  It computes
@@ -368,18 +373,46 @@ def rate_rows(d: int, kind: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(tuple(row) for row in rate_table(d, kind).tolist())
 
 
-def flip_and_count(bits, ones_nbr, x: int, new: int, nbrs, w: int) -> int:
-    """Set bits[x] to `new` and move ones_nbr of each distinct neighbor by w.
+@cache
+def toggle_rows(d: int, kind: str, w: int) -> tuple:
+    """rows[new][b][k]: whether a vertex holding b changed its flip rate when
+    its count just moved by w (up when new is 1, down when it is 0) to k.
+
+    rows[1][b][k] is rate_table[b][k] != rate_table[b][k - w], rows[0][b][k]
+    is rate_table[b][k] != rate_table[b][k + w]; counts that no move by w
+    can reach read 0.  Cached per (d, kind, w), as tuples of Python ints.
+    """
+    rates = rate_rows(d, kind)
+    width = 2 * d + 1
+
+    def toggled(b, k, before):
+        return int(0 <= before < width and rates[b][k] != rates[b][before])
+
+    return tuple(tuple(tuple(toggled(b, k, k + (-w if new else w)) for k in range(width))
+                       for b in (0, 1))
+                 for new in (0, 1))
+
+
+def flip_and_count(bits, ones_nbr, x: int, new: int, nbrs, w: int, toggles) -> list[int]:
+    """Set bits[x] to `new`, move ones_nbr of each distinct neighbor by w, and
+    return the neighbors whose flip rate toggled, in nbrs order.
 
     bits and ones_nbr are memoryviews of a Configuration's arrays; nbrs
-    and w come from torus.neighbor_lists.  Returns new.
+    and w come from torus.neighbor_lists, and toggles is
+    toggle_rows(d, kind, w) for the rate rule of the caller's dynamics.
+    The rate of x itself is the caller's to read.
     """
     bits[x] = new
     if new != 1:
         w = -w
+    moved = toggles[new]
+    toggled = []
     for y in nbrs:
-        ones_nbr[y] += w
-    return new
+        k = ones_nbr[y] + w
+        ones_nbr[y] = k
+        if moved[bits[y]][k]:
+            toggled.append(y)
+    return toggled
 
 
 class EventEngine:
@@ -399,6 +432,7 @@ class EventEngine:
         self.draws = DrawStream(rng)
         self.time = 0.0
         self._nbrs, self._w = neighbor_lists(shape)
+        self._toggles = toggle_rows(shape.d, kind, self._w)
         self.last_nbrs: list[int] = []  # distinct neighbors of the last flip
         # ascending vertex order, as adding them one by one would give
         active = np.flatnonzero(rate_table(shape.d, kind)[cfg.bits, cfg.ones_nbr])
@@ -411,23 +445,23 @@ class EventEngine:
     def _apply_flip(self, x) -> int:
         """Flip x, update neighbor counts and the active set; return new value.
 
-        The neighbor list stays in last_nbrs for the observers.
+        Only x and the neighbors whose rate toggled change membership; they
+        are walked in a fixed order, x first, then the kernel's.  That order
+        fixes active.items, and with it every later draw.  The neighbor
+        list stays in last_nbrs for the observers.
         """
         bits, ones = self.bits_view, self.ones_view
         self.last_nbrs = nbrs = self._nbrs(x)
-        new = flip_and_count(bits, ones, x, 1 - bits[x], nbrs, self._w)
-        # walk x and its neighbors in set order: the order of adds and
-        # removes fixes active.items, and with it every later draw
-        touched = set(nbrs)
-        touched.add(x)
-        rates = self._rates
+        new = 1 - bits[x]
+        toggled = flip_and_count(bits, ones, x, new, nbrs, self._w, self._toggles)
         active = self.active
+        if not self._rates[new][ones[x]]:  # x rang, so it was in the set
+            active.remove(x)
         pos = active.pos
-        for y in touched:
-            if rates[bits[y]][ones[y]]:
-                if pos[y] < 0:
-                    active.add(y)
-            elif pos[y] >= 0:
+        for y in toggled:
+            if pos[y] < 0:
+                active.add(y)
+            else:
                 active.remove(y)
         return new
 
@@ -476,27 +510,8 @@ def replay(traj: Trajectory):
     cfg = traj.initial.copy()
     yield 0.0, cfg
     nbrs, w = neighbor_lists(cfg.shape)
+    toggles = toggle_rows(cfg.shape.d, THRESHOLD, w)
     bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
     for ev in traj.events:
-        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs(ev.vertex), w)
+        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs(ev.vertex), w, toggles)
         yield ev.time, cfg
-
-
-def sample_death_counts(shape: TorusShape, p: float, times, replicas: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """|G_t| at each grid time for `replicas` independent death processes.
-
-    Vectorized and exact in law: each initial 1 dies at an independent
-    Exp(1) time, zeros are frozen.  Returns an int array of shape
-    (replicas, len(times)).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {p}")
-    times = np.asarray(times, dtype=float)
-    out = np.empty((replicas, times.size), dtype=np.int64)
-    for i in range(replicas):
-        alive0 = rng.random(shape.n) < p
-        deaths = -np.log1p(-rng.random(shape.n))
-        for j, t in enumerate(times):
-            out[i, j] = int(np.count_nonzero(alive0 & (deaths > t)))
-    return out

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -143,9 +142,3 @@ def two_hop_set(shape: TorusShape, x: int) -> frozenset[int]:
         out.update(neighbors(shape, y))
     out.discard(x)
     return frozenset(out)
-
-
-def all_coordinates(shape: TorusShape):
-    """Iterate coordinate tuples in index order (first coordinate fastest)."""
-    for rev in product(range(1, shape.r + 1), repeat=shape.d):
-        yield tuple(reversed(rev))

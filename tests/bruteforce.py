@@ -12,7 +12,7 @@ from scipy import sparse
 from torusvoter.ballgame import BoxState, rightward_move
 from torusvoter.observables import ObservableSeries, fluid
 from torusvoter.oracle import UniformizedSeries, _check_capacity, _start_key
-from torusvoter.spin import FlipEvent, Trajectory, flip_and_count, rate_rows
+from torusvoter.spin import FlipEvent, Trajectory, flip_and_count, rate_rows, toggle_rows
 from torusvoter.torus import TorusShape, decode, encode, neighbor_lists, neighbors
 
 
@@ -86,6 +86,7 @@ def rejection_run(cfg, kind: str, T: float, rng):
     n = cfg.shape.n
     rates = rate_rows(cfg.shape.d, kind)
     nbrs_of, w = neighbor_lists(cfg.shape)
+    toggles = toggle_rows(cfg.shape.d, kind, w)
     bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
     first_ring = [math.inf] * n
     events, t = [], 0.0
@@ -97,7 +98,8 @@ def rejection_run(cfg, kind: str, T: float, rng):
         if first_ring[x] == math.inf:
             first_ring[x] = t
         if rates[bits[x]][ones[x]]:
-            new = flip_and_count(bits, ones, x, 1 - bits[x], nbrs_of(x), w)
+            new = 1 - bits[x]
+            flip_and_count(bits, ones, x, new, nbrs_of(x), w, toggles)
             events.append(FlipEvent(t, x, new))
     return Trajectory(initial, events, T), first_ring
 

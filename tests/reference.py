@@ -1,0 +1,109 @@
+"""Reference code that only the tests use: no CLI mode or script calls it.
+
+The set classification of a configuration, per-vertex survival times of a
+voter-model trajectory, the vectorised death-process sampler, and the
+coordinate enumeration of a torus.  The exact judges of the paper's claims
+(oracle.death_law, the orbit oracle, the binomial tails) stay in the
+package; these are the quantities the tests hold against them.
+"""
+
+import math
+from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
+
+from torusvoter.observables import ObservableSeries
+from torusvoter.spin import Configuration, Trajectory
+from torusvoter.torus import TorusShape
+
+
+@dataclass
+class SetClassification:
+    """Membership masks for A (ones), B (zeros), C (>= d one-nbrs), D (<= d)."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+    @property
+    def sizes(self):
+        return {k: int(getattr(self, k).sum()) for k in "ABCD"}
+
+
+def classify(cfg: Configuration) -> SetClassification:
+    d = cfg.shape.d
+    ones = cfg.bits.astype(bool)
+    return SetClassification(
+        A=ones,
+        B=~ones,
+        C=cfg.ones_nbr >= d,
+        D=cfg.ones_nbr <= d,
+    )
+
+
+@dataclass
+class SurvivalRecord:
+    """First hit of state 0 per initially-1 vertex, censored at the horizon.
+
+    tau[x] is math.inf when x never reached 0 in [0, T].  Pathwise, tau[x]
+    is at least the first clock ring of x; the active-set engine skips the
+    rings that change nothing, so the check of that bound runs on the
+    rejection engine in tests/bruteforce.py, which records every ring.
+    """
+
+    vertices: list[int]  # A_0, sorted
+    tau: dict[int, float]
+    horizon: float
+
+    def surviving(self, t: float) -> list[int]:
+        return [x for x in self.vertices if self.tau[x] > t]
+
+    def F_series(self) -> ObservableSeries:
+        """|F_t| = #{x in A_0 : tau_x > t}, piecewise constant."""
+        times, values = [0.0], [float(len(self.vertices))]
+        hits = sorted(t for t in self.tau.values() if t < math.inf)
+        count = len(self.vertices)
+        for t in hits:
+            count -= 1
+            times.append(t)
+            values.append(float(count))
+        return ObservableSeries(times, values, self.horizon)
+
+
+def survival_times(traj: Trajectory) -> SurvivalRecord:
+    """Extract tau_x for every x in A_0 from a voter-model trajectory."""
+    a0 = sorted(int(x) for x in np.nonzero(traj.initial.bits)[0])
+    a0_set = set(a0)
+    tau = {x: math.inf for x in a0}
+    for ev in traj.events:
+        if ev.new_value == 0 and ev.vertex in a0_set and tau[ev.vertex] == math.inf:
+            tau[ev.vertex] = ev.time
+    return SurvivalRecord(a0, tau, traj.horizon)
+
+
+def sample_death_counts(shape: TorusShape, p: float, times, replicas: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """|G_t| at each grid time for `replicas` independent death processes.
+
+    Vectorized and exact in law: each initial 1 dies at an independent
+    Exp(1) time, zeros are frozen.  Returns an int array of shape
+    (replicas, len(times)).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {p}")
+    times = np.asarray(times, dtype=float)
+    out = np.empty((replicas, times.size), dtype=np.int64)
+    for i in range(replicas):
+        alive0 = rng.random(shape.n) < p
+        deaths = -np.log1p(-rng.random(shape.n))
+        for j, t in enumerate(times):
+            out[i, j] = int(np.count_nonzero(alive0 & (deaths > t)))
+    return out
+
+
+def all_coordinates(shape: TorusShape):
+    """Iterate coordinate tuples in index order (first coordinate fastest)."""
+    for rev in product(range(1, shape.r + 1), repeat=shape.d):
+        yield tuple(reversed(rev))

@@ -19,11 +19,11 @@ from torusvoter.observables import (EAccumulator, FractionObserver, fluid,
 from torusvoter.oracle import (exact_var_C0, expected_C0,
                                expected_suffix_count, ldp_constants,
                                ldp_convergence, neighbor_tail)
-from torusvoter.spin import (THRESHOLD, RngStream, config_from_bits, run,
-                             sample_death_counts, sample_product)
+from torusvoter.spin import THRESHOLD, RngStream, config_from_bits, run, sample_product
 from torusvoter.torus import TorusShape, two_hop_set
 
 from bruteforce import enumerate_C0_moments, enumerate_suffix_count
+from reference import sample_death_counts
 
 SEED = 20260826
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from torusvoter.coupling import (DominationError, coupled_run_eta_zeta,
-                                 coupled_run_monotone, survival_times)
+                                 coupled_run_monotone)
 from torusvoter.oracle import ctmc_mean_ones, death_law
 from torusvoter.spin import (THRESHOLD, RngStream, config_from_bits, run,
                              sample_product, verify_counts)
 from torusvoter.torus import TorusShape
 
 from bruteforce import rejection_run
+from reference import sample_death_counts, survival_times
 
 
 def rng(seed=0, stream=0):
@@ -54,10 +55,10 @@ class TestEtaZetaCoupling:
         real_flip, real_check = coupling._flip, coupling._check_domination
         flips, checks = [], []
 
-        def corrupting_flip(cfg, x, nbrs, w):
+        def corrupting_flip(cfg, x, nbrs, w, toggles):
             flips.append(x)
             lower.bits[15], upper.bits[15] = 1, 0
-            return real_flip(cfg, x, nbrs, w)
+            return real_flip(cfg, x, nbrs, w, toggles)
 
         def spy(low, up, x=None):
             checks.append(x)
@@ -156,7 +157,6 @@ class TestMonotoneCoupling:
 
 class TestDeathLawStatistics:
     def test_mean_variance_and_martingale(self):
-        from torusvoter.spin import sample_death_counts
         shape = TorusShape(8, 2)
         p, reps = 0.4, 4000
         ts = [0.5, 1.0, 2.0]

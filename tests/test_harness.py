@@ -413,3 +413,22 @@ def test_bench_tracer_finds_every_name_it_wraps():
     assert proc.returncode == 0, proc.stderr
     steps, checks = map(float, proc.stdout.split())
     assert steps > 0 and checks > 0
+
+
+def test_engine_modes_never_import_scipy():
+    """scipy is imported lazily, by the exact oracle alone: importing the
+    package and the CLI and running the four Monte Carlo modes leave it out
+    of sys.modules in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = (
+        "import sys, torusvoter, torusvoter.harness as h, torusvoter.cli\n"
+        "base = dict(r=2, T=0.5, replicas=2, seed=3)\n"
+        "for mode, d, p in [('simulate', (4,), (0.3,)), ('couple', (4,), (0.3, 0.45)),\n"
+        "                   ('couple', (4,), (0.3,)), ('sweep', (2, 3, 4), (0.3,)),\n"
+        "                   ('ballgame', (6,), (0.3,))]:\n"
+        "    h.run_experiment(h.ExperimentSpec(mode=mode, d=d, p=p, **base))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from torusvoter import observables
-from torusvoter.coupling import survival_times
 from torusvoter.observables import (EAccumulator, FractionObserver,
                                     NeighborHistogram, ObservableSeries,
-                                    classify, fluid, fluid_in_scope,
+                                    fluid, fluid_in_scope,
                                     fraction_series, neighbor_histogram,
                                     sup_deviation)
 from torusvoter.spin import (DEATH, THRESHOLD, RngStream, config_from_bits,
@@ -15,6 +14,7 @@ from torusvoter.spin import (DEATH, THRESHOLD, RngStream, config_from_bits,
 from torusvoter.torus import TorusShape, neighbors
 
 from bruteforce import sup_deviation_loop
+from reference import classify, survival_times
 
 
 def rng(seed=0, stream=0):

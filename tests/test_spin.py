@@ -11,10 +11,11 @@ from torusvoter.spin import (DEATH, THRESHOLD, Configuration, CountMismatchError
                              config_from_bits, death_rate, flip_and_count,
                              rate_rows, rate_table, replay, run,
                              sample_product, sample_product_batch,
-                             sample_death_counts, threshold_rate, verify_counts)
+                             threshold_rate, toggle_rows, verify_counts)
 from torusvoter.torus import TorusShape
 
 from bruteforce import rejection_run
+from reference import sample_death_counts
 
 
 def rng(seed=0, stream=0):
@@ -104,10 +105,50 @@ class TestFlipAndCount:
         cfg = config_from_bits(shape, [0] * shape.n)
         bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
         nbrs = [1, 2, 3]
-        assert flip_and_count(bits, ones, 0, 1, nbrs, 2) == 1
+        toggles = toggle_rows(3, THRESHOLD, 2)
+        assert flip_and_count(bits, ones, 0, 1, nbrs, 2, toggles) == []  # 0 -> 2 < d
         assert cfg.bits[0] == 1 and cfg.ones_nbr[:5].tolist() == [0, 2, 2, 2, 0]
-        assert flip_and_count(bits, ones, 0, 0, nbrs, 2) == 0
+        assert flip_and_count(bits, ones, 0, 0, nbrs, 2, toggles) == []
         assert cfg.bits[0] == 0 and not cfg.ones_nbr.any()
+
+    @pytest.mark.parametrize("kind", [THRESHOLD, DEATH])
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_toggle_rows_match_rate_table(self, kind, w):
+        for d in range(1, 7):
+            rows = toggle_rows(d, kind, w)
+            assert toggle_rows(d, kind, w) is rows
+            table = rate_table(d, kind)
+            for new, sign in ((1, -1), (0, 1)):  # the count came from k -+ w
+                for b in (0, 1):
+                    for k in range(2 * d + 1):
+                        before = k + sign * w
+                        want = 0 <= before <= 2 * d and table[b][k] != table[b][before]
+                        assert rows[new][b][k] == want, (d, new, b, k)
+
+    @pytest.mark.parametrize("d,r", [(5, 2), (2, 2), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("kind", [THRESHOLD, DEATH])
+    def test_returns_brute_force_rate_diff(self, d, r, kind):
+        from torusvoter.torus import neighbor_lists
+
+        shape = TorusShape(d, r)
+        nbrs_of, w = neighbor_lists(shape)
+        toggles, table = toggle_rows(d, kind, w), rate_table(d, kind)
+        g = rng(16, d * 10 + r)
+        seen = 0
+        for p in (0.2, 0.5, 0.8):
+            cfg = sample_product(shape, p, g)
+            bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
+            for x in g.integers(shape.n, size=60).tolist():
+                before = table[cfg.bits, cfg.ones_nbr]
+                nbrs = nbrs_of(x)
+                toggled = flip_and_count(bits, ones, x, 1 - bits[x], nbrs, w, toggles)
+                after = table[cfg.bits, cfg.ones_nbr]
+                assert toggled == [y for y in nbrs if before[y] != after[y]]
+                if kind == DEATH:
+                    assert toggled == []
+                seen += len(toggled)
+            verify_counts(cfg)
+        assert (seen > 0) == (kind == THRESHOLD)
 
     def test_run_writes_through_block_rows(self):
         # _sample_E_T runs the engine on rows of one (R, n) block

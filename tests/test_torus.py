@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvoter import torus
-from torusvoter.torus import (TorusShape, all_coordinates, decode, encode,
+from torusvoter.torus import (TorusShape, decode, encode,
                               neighbor_lists, neighbors,
                               shared_neighbors, two_hop_set)
+
+from reference import all_coordinates
 
 
 def c(shape, *coords):
