@@ -1,17 +1,16 @@
 """Box/ball auxiliary processes and the empirical dominance-chain experiment.
 
 2d+1 boxes hold one ball per vertex, box k holding the vertices with exactly
-k one-neighbors.  Four progressively faster processes bound how quickly mass
-can accumulate in boxes d..2d:
+k one-neighbors; a box state is the int64 count array b_0..b_2d.  Four
+progressively faster processes bound how quickly mass can accumulate in
+boxes d..2d:
 
 1. replay: balls move with the real dynamics (one flip moves 2d balls);
 2. rightward-only moves at rate C_hat = balls in boxes >= d, always moving
    the 2d balls nearest to box d from the left region;
 3. same, after lumping boxes floor(2d*p0)..d-1 into box d at time 0;
 4. a single box that gains 2d balls after every m = floor(d(1-2p0))
-   exponential steps at the current count's rate.  At m = 1 its final count
-   is drawn in closed form (single_box_count); otherwise its path is
-   simulated (approach4_run).
+   exponential steps at the current count's rate (approach4_run).
 
 Here p0 = 1/4 + p/2, sitting strictly between p and 1/2.
 
@@ -20,11 +19,11 @@ configurations come in (replicas, n) blocks of at most BLOCK_SLOTS vertex
 slots, and only their box histograms are kept.  The upper mass of processes
 2 and 3 follows a sequence fixed by the initial boxes, so those run as one
 exact jump chain over all replicas (rightward_counts) that draws only the
-holding times; process 4 takes one vector NegBin draw at m = 1
-(single_box_counts).  The path samplers rightward_move, approach4_run and
-single_box_count remain as the references these are tested against, and
-single_box_count runs approach4_run at m > 1; the path of process 2 is
-sampled only in tests/bruteforce.py.
+holding times.  Process 4 takes one vector NegBin draw at m = 1 and runs
+approach4_run per replica at m > 1 (single_box_counts).  The path sampler
+rightward_move remains as the reference the chain is tested against; the
+ball replay, the scalar single-box count and the path of process 2 are
+test references in tests/.
 """
 
 from __future__ import annotations
@@ -34,73 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import (EAccumulator, ObservableSeries, neighbor_histogram,
-                          neighbor_histograms)
-from .spin import (THRESHOLD, Configuration, flip_and_count, run, sample_product_batch,
-                   toggle_rows)
-from .torus import TorusShape, neighbor_lists
+from .observables import EAccumulator, ObservableSeries, neighbor_histograms
+from .spin import THRESHOLD, Configuration, run, sample_product_batch
+from .torus import TorusShape
 
 
-@dataclass
-class BoxState:
-    """Ball counts per box b_0..b_2d; total is conserved by every move."""
-
-    counts: np.ndarray  # int64, length 2d+1
-
-    @property
-    def d(self) -> int:
-        return (len(self.counts) - 1) // 2
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def upper_mass(self) -> int:
-        """Balls in boxes d..2d (the C_hat statistic)."""
-        return int(self.counts[self.d:].sum())
-
-    def copy(self) -> "BoxState":
-        return BoxState(self.counts.copy())
-
-
-def boxes_from_config(cfg) -> BoxState:
-    return BoxState(neighbor_histogram(cfg).counts.copy())
-
-
-def replay_boxes(traj):
-    """Yield (time, BoxState) along a trajectory, moving balls per flip.
-
-    A flip at x moves the ball of each distinct neighbor of x by its slot
-    weight w (torus.neighbor_lists): right on a 0->1 flip, left on a 1->0
-    flip.  Matches boxes_from_config of the replayed configuration at every
-    event (tested).
-    """
-    cfg = traj.initial.copy()
-    box = boxes_from_config(cfg)
-    yield 0.0, box.copy()
-    nbrs_of, w = neighbor_lists(cfg.shape)
-    toggles = toggle_rows(cfg.shape.d, THRESHOLD, w)
-    bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
-    for ev in traj.events:
-        nbrs = nbrs_of(ev.vertex)
-        k = cfg.ones_nbr[nbrs]
-        np.subtract.at(box.counts, k, 1)
-        np.add.at(box.counts, k + (w if ev.new_value == 1 else -w), 1)
-        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs, w, toggles)
-        yield ev.time, box.copy()
-
-
-def rightward_move(box: BoxState, rng: np.random.Generator) -> None:
-    """One move of the rightward-only process: relocate 2d balls.
+def rightward_move(counts: np.ndarray, rng: np.random.Generator) -> None:
+    """One rightward-only move on box counts b_0..b_2d, in place: relocate 2d balls.
 
     Drain the nonempty boxes below d from the top down, partially draining
     the last one.  If the whole left region holds fewer than 2d balls, shift
     every left box one step right, then top up b_2d with balls drawn one at
     a time from boxes d..2d weighted by their current counts.
     """
-    counts = box.counts
-    d = box.d
+    d = (len(counts) - 1) // 2
     need = 2 * d
     left_total = int(counts[:d].sum())
     if left_total >= need:
@@ -190,11 +136,6 @@ def lump_boxes(counts: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def approach3_init(box: BoxState, p: float) -> BoxState:
-    """Lump boxes floor(2d*p0)..d-1 into b_d; evolution then follows approach 2."""
-    return BoxState(lump_boxes(box.counts, p))
-
-
 def step_count(d: int, p: float) -> int:
     """m = floor(d(1 - 2 p0)) = floor(d(1/2 - p)); steps per 2d-ball gain."""
     p_zero(p)  # validates the density range
@@ -261,45 +202,22 @@ def approach4_run(I0: int, d: int, p: float, T: float,
                         list(taus), list(ratios))
 
 
-def single_box_count(I0: int, d: int, p: float, T: float,
-                     rng: np.random.Generator) -> int:
-    """Count of the single-box process at time T, started from I0.
+def single_box_counts(I0: np.ndarray, d: int, p: float, T: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Count of the single-box process at time T from each entry of I0.
 
     At m = 1, jump j comes at rate I0 + 2d(j-1) = 2d(j-1 + a) with
     a = I0/(2d): the jump count J_T is a linear birth process with
-    immigration, so J_T ~ NegBin(a, e^{-2dT}) exactly (Kendall 1948) and one
-    draw gives the count I0 + 2d J_T.  For m > 1 the path is simulated by
-    approach4_run.  Runs past MAX_JUMPS jumps are refused either way.
+    immigration, so J_T ~ NegBin(a, e^{-2dT}) exactly (Kendall 1948), and
+    the count is I0 + 2d J_T.  The entries with I0 > 0 share one vector
+    NegBin draw, and I0 = 0 draws nothing.  At m > 1 each entry runs
+    approach4_run in turn.  Runs past MAX_JUMPS jumps are refused either way.
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     m = step_count(d, p)
     if m > 1:
-        return int(approach4_run(I0, d, p, T, rng).series.values[-1])
-    if I0 <= 0:
-        return 0
-    try:
-        jumps = int(rng.negative_binomial(I0 / (2 * d), math.exp(-2 * d * T)))
-    except ValueError:  # numpy: "n too large or p too small", or p underflows
-        raise _too_many_jumps(I0, d, m, T) from None
-    if jumps > MAX_JUMPS:
-        raise _too_many_jumps(I0, d, m, T)
-    return I0 + 2 * d * jumps
-
-
-def single_box_counts(I0: np.ndarray, d: int, p: float, T: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """single_box_count for every entry of I0.
-
-    At m = 1 the entries with I0 > 0 share one vector NegBin draw, and
-    I0 = 0 draws nothing; the MAX_JUMPS and numpy-refusal errors are those
-    of single_box_count.  At m > 1 each entry calls single_box_count.
-    """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    m = step_count(d, p)
-    if m > 1:
-        return np.array([single_box_count(int(i), d, p, T, rng) for i in I0],
+        return np.array([approach4_run(int(i), d, p, T, rng).series.values[-1] for i in I0],
                         dtype=np.int64)
     out = np.zeros(len(I0), dtype=np.int64)
     occupied = I0 > 0

@@ -13,17 +13,19 @@ Two couplings are provided:
   (lower 0, upper 1) get two independent sub-clocks so the order-breaking
   simultaneous flip to (1, 0) never happens.
 
-Both runs read and write the marginals through memoryviews, flip them with
-the engine's spin.flip_and_count and take the threshold rate from the rows
-of spin.rate_table.  After a flip at x they resync the arms of x, then of
-the neighbors whose rate toggled in the marginal that moved (of every
-neighbor when both moved), in the kernel's order; the other neighbors'
-arms cannot change, so the adds and removes, and every draw, are those of
-a recheck of x and all its neighbors.  They share one loop,
-_coupled_loop, which rings their arms through spin._IndexedSet.ring and a
-spin.DrawStream, as the engine does; each run supplies its arms and a
-fire(t, arm) closure that flips and resyncs them.  rng is in sync with the
-draws when a run returns or raises.
+Both runs read and write the marginals through memoryviews, flip the
+voter marginals with the engine's spin.flip_and_count and take the
+threshold rate from the rows of spin.rate_table.  The death marginal keeps
+its bits only: a death flip clears the bit, and its ones_nbr is not kept
+up to date, since a death rate is the bit alone.  After a flip at x the
+runs resync the arms of x, then of the neighbors whose rate toggled in the
+marginal that moved (of every neighbor when both moved), in the kernel's
+order; the other neighbors' arms cannot change, so the adds and removes,
+and every draw, are those of a recheck of x and all its neighbors.  They
+share one loop, _coupled_loop, which rings their arms through
+spin._IndexedSet.ring and a spin.DrawStream, as the engine does; each run
+supplies its arms and a fire(t, arm) closure that flips and resyncs them.
+rng is in sync with the draws when a run returns or raises.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import ObservableSeries
-from .spin import (DEATH, THRESHOLD, Configuration, DrawStream, _IndexedSet,
+from .spin import (THRESHOLD, Configuration, DrawStream, _IndexedSet,
                    config_from_bits, flip_and_count, rate_rows, rate_table,
                    sample_product, toggle_rows)
 from .torus import TorusShape, neighbor_lists
@@ -109,8 +111,7 @@ def _threshold_rates(cfg: Configuration) -> np.ndarray:
 
 
 def coupled_run_eta_zeta(shape: TorusShape, p: float, T: float,
-                         rng: np.random.Generator,
-                         check: bool = True) -> CoupledTrajectory:
+                         rng: np.random.Generator) -> CoupledTrajectory:
     """Voter model (upper) and death process (lower) on shared clocks.
 
     Both marginals start from the same Bernoulli(p) draw.  Rings are thinned
@@ -121,19 +122,20 @@ def coupled_run_eta_zeta(shape: TorusShape, p: float, T: float,
         raise ValueError(f"horizon must be positive, got {T}")
     upper = sample_product(shape, p, rng)
     lower = upper.copy()
-    return _run_eta_zeta(upper, lower, T, rng, check)
+    return _run_eta_zeta(upper, lower, T, rng)
 
 
-def _run_eta_zeta(upper, lower, T, rng, check):
+def _run_eta_zeta(upper, lower, T, rng):
+    """The voter/death coupling from identical starts.  The death marginal
+    keeps its bits only: its ones_nbr is not kept up to date."""
     shape = upper.shape
     if not np.array_equal(upper.bits, lower.bits):
         raise ValueError("coupled start requires identical initial states")
     nbrs_of, w = neighbor_lists(shape)
     rates = rate_rows(shape.d, THRESHOLD)
     toggles = toggle_rows(shape.d, THRESHOLD, w)
-    death_toggles = toggle_rows(shape.d, DEATH, w)  # all 0: no death rate reads a count
-    upper_v, lower_v = _views(upper), _views(lower)
-    (ub, uo), (lb, lo) = upper_v, lower_v
+    ub, uo = upper_v = _views(upper)
+    lb = memoryview(lower.bits)
     # ascending vertex order, as adding them one by one would give
     union = (lower.bits == 1) | _threshold_rates(upper)
     active = _IndexedSet(shape.n, np.flatnonzero(union).tolist())
@@ -146,7 +148,7 @@ def _run_eta_zeta(upper, lower, T, rng, check):
         if rates[ub[x]][uo[x]]:
             upper_new, toggled = _flip(upper_v, x, nbrs, w, toggles)
         if lb[x] == 1:
-            lower_new, _ = _flip(lower_v, x, nbrs, w, death_toggles)
+            lb[x] = lower_new = 0
         # a death arm changes only at x, a voter arm at x and where the
         # upper rate toggled: x first, then the kernel's order
         for y in (x, *toggled):
@@ -157,12 +159,11 @@ def _run_eta_zeta(upper, lower, T, rng, check):
                 active.remove(y)
         return CoupledEvent(t, x, upper_new, lower_new)
 
-    return _coupled_loop(upper, lower, active, fire, T, rng, check)
+    return _coupled_loop(upper, lower, active, fire, T, rng)
 
 
 def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
-                         rng: np.random.Generator,
-                         check: bool = True) -> CoupledTrajectory:
+                         rng: np.random.Generator) -> CoupledTrajectory:
     """Monotone coupling of two voter models at densities p1 <= p2.
 
     Initial coupling: one uniform per vertex, lower bit = 1{U < p1},
@@ -232,10 +233,10 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
                 arms.remove(arm)
         return CoupledEvent(t, x, upper_new, lower_new)
 
-    return _coupled_loop(upper, lower, arms, fire, T, rng, check)
+    return _coupled_loop(upper, lower, arms, fire, T, rng)
 
 
-def _coupled_loop(upper, lower, arms, fire, T, rng, check) -> CoupledTrajectory:
+def _coupled_loop(upper, lower, arms, fire, T, rng) -> CoupledTrajectory:
     """Ring the arms until T; fire(t, arm) flips, resyncs the arms and
     returns the CoupledEvent.
 
@@ -245,8 +246,7 @@ def _coupled_loop(upper, lower, arms, fire, T, rng, check) -> CoupledTrajectory:
     """
     events: list[CoupledEvent] = []
     traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
-    if check:
-        _check_domination(lower, upper)
+    _check_domination(lower, upper)
     t = 0.0
     draws = DrawStream(rng)
     try:
@@ -254,10 +254,8 @@ def _coupled_loop(upper, lower, arms, fire, T, rng, check) -> CoupledTrajectory:
             t, arm = ring
             ev = fire(t, arm)
             events.append(ev)
-            if check:
-                _check_domination(lower, upper, ev.vertex)
+            _check_domination(lower, upper, ev.vertex)
     finally:
         draws.close()
-    if check:
-        _check_domination(lower, upper)
+    _check_domination(lower, upper)
     return traj

@@ -1,4 +1,10 @@
-"""Set-valued observables, fluid-limit curves, and sup-deviation statistics."""
+"""Set-valued observables, fluid-limit curves, and sup-deviation statistics.
+
+The neighbor-sum histogram of a configuration, h[k] = #vertices with
+exactly k one-neighbors (k = 0..2d), is a plain int64 array, one row per
+configuration (neighbor_histograms); |I(k)|, the vertices with at least k
+one-neighbors, is h[k:].sum().
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,6 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
-
-from .spin import Configuration
 
 
 @dataclass
@@ -23,28 +27,6 @@ class ObservableSeries:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         i = bisect.bisect_right(self.times, t) - 1
         return self.values[i]
-
-    def sample(self, grid) -> np.ndarray:
-        return np.array([self.value_at(t) for t in grid])
-
-
-@dataclass
-class NeighborHistogram:
-    """h[k] = #vertices with exactly k one-neighbors, k = 0..2d."""
-
-    counts: np.ndarray
-
-    def suffix(self, k: int) -> int:
-        """|I(k)| = #vertices with >= k one-neighbors."""
-        return int(self.counts[k:].sum())
-
-    def prefix(self, k: int) -> int:
-        """|J(k)| = #vertices with <= k one-neighbors."""
-        return int(self.counts[: k + 1].sum())
-
-
-def neighbor_histogram(cfg: Configuration) -> NeighborHistogram:
-    return NeighborHistogram(neighbor_histograms(cfg.ones_nbr[None], cfg.shape.d)[0])
 
 
 def neighbor_histograms(ones_nbr: np.ndarray, d: int) -> np.ndarray:

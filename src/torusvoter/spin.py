@@ -149,11 +149,6 @@ def threshold_rate(cfg: Configuration, x: int) -> int:
     return 1 if disagree >= d else 0
 
 
-def death_rate(cfg: Configuration, x: int) -> int:
-    """1 iff x is in state 1 (ones die at rate 1 and freeze)."""
-    return int(cfg.bits[x])
-
-
 def verify_counts(cfg: Configuration) -> None:
     """Rebuild ones_nbr from scratch; raise CountMismatchError on drift."""
     rebuilt = build_ones_nbr(cfg.shape, cfg.bits)
@@ -312,9 +307,6 @@ class _IndexedSet:
 
     def __len__(self):
         return len(self.items)
-
-    def __contains__(self, x):
-        return self.pos[x] >= 0
 
     def add(self, x):
         if self.pos[x] < 0:

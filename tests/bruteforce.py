@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from torusvoter.ballgame import BoxState, rightward_move
+from torusvoter.ballgame import rightward_move
 from torusvoter.observables import ObservableSeries, fluid
 from torusvoter.oracle import UniformizedSeries, _check_capacity, _start_key
 from torusvoter.spin import FlipEvent, Trajectory, flip_and_count, rate_rows, toggle_rows
@@ -104,27 +104,29 @@ def rejection_run(cfg, kind: str, T: float, rng):
     return Trajectory(initial, events, T), first_ring
 
 
-def approach2_run(box: BoxState, T: float, rng) -> ObservableSeries:
-    """C_hat_t series: moves at rate C_hat_t, never moving balls left."""
+def approach2_run(counts: np.ndarray, T: float, rng) -> ObservableSeries:
+    """C_hat_t series from box counts b_0..b_2d: moves at rate C_hat_t,
+    never moving balls left."""
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    box = box.copy()
+    box = np.array(counts, dtype=np.int64)
+    d = (len(box) - 1) // 2
     t = 0.0
-    times, values = [0.0], [float(box.upper_mass)]
+    times, values = [0.0], [float(box[d:].sum())]
     while True:
-        rate = box.upper_mass
+        rate = int(box[d:].sum())
         if rate == 0:
             break  # frozen
         t += _exp_variate(rng, rate)
         if t >= T:
             break
         rightward_move(box, rng)
-        new = box.upper_mass
+        new = int(box[d:].sum())
         assert new >= values[-1], "rightward process lost upper mass"
         if new != values[-1]:
             times.append(t)
             values.append(float(new))
-        if box.counts[:box.d].sum() == 0:
+        if box[:d].sum() == 0:
             break  # left region drained: moves only shuffle the right region
     return ObservableSeries(times, values, T)
 

@@ -1,8 +1,9 @@
 """Reference code that only the tests use: no CLI mode or script calls it.
 
 The set classification of a configuration, per-vertex survival times of a
-voter-model trajectory, the vectorised death-process sampler, and the
-coordinate enumeration of a torus.  The exact judges of the paper's claims
+voter-model trajectory, the vectorised death-process sampler, the scalar
+death rate, the coordinate enumeration of a torus, the ball replay of a
+trajectory and the scalar single-box count.  The exact judges of the paper's claims
 (oracle.death_law, the orbit oracle, the binomial tails) stay in the
 package; these are the quantities the tests hold against them.
 """
@@ -13,9 +14,10 @@ from itertools import product
 
 import numpy as np
 
-from torusvoter.observables import ObservableSeries
-from torusvoter.spin import Configuration, Trajectory
-from torusvoter.torus import TorusShape
+from torusvoter.ballgame import MAX_JUMPS, _too_many_jumps, approach4_run, step_count
+from torusvoter.observables import ObservableSeries, neighbor_histograms
+from torusvoter.spin import THRESHOLD, Configuration, Trajectory, flip_and_count, toggle_rows
+from torusvoter.torus import TorusShape, neighbor_lists
 
 
 @dataclass
@@ -107,3 +109,58 @@ def all_coordinates(shape: TorusShape):
     """Iterate coordinate tuples in index order (first coordinate fastest)."""
     for rev in product(range(1, shape.r + 1), repeat=shape.d):
         yield tuple(reversed(rev))
+
+
+def death_rate(cfg: Configuration, x: int) -> int:
+    """1 iff x is in state 1 (ones die at rate 1 and freeze)."""
+    return int(cfg.bits[x])
+
+
+def replay_boxes(traj: Trajectory):
+    """Yield (time, box counts b_0..b_2d) along a trajectory, moving balls
+    per flip.
+
+    A flip at x moves the ball of each distinct neighbor of x by its slot
+    weight w (torus.neighbor_lists): right on a 0->1 flip, left on a 1->0
+    flip.  Matches neighbor_histograms of the replayed configuration at
+    every event (tested).
+    """
+    cfg = traj.initial.copy()
+    box = neighbor_histograms(cfg.ones_nbr[None], cfg.shape.d)[0]
+    yield 0.0, box.copy()
+    nbrs_of, w = neighbor_lists(cfg.shape)
+    toggles = toggle_rows(cfg.shape.d, THRESHOLD, w)
+    bits, ones = memoryview(cfg.bits), memoryview(cfg.ones_nbr)
+    for ev in traj.events:
+        nbrs = nbrs_of(ev.vertex)
+        k = cfg.ones_nbr[nbrs]
+        np.subtract.at(box, k, 1)
+        np.add.at(box, k + (w if ev.new_value == 1 else -w), 1)
+        flip_and_count(bits, ones, ev.vertex, ev.new_value, nbrs, w, toggles)
+        yield ev.time, box.copy()
+
+
+def single_box_count(I0: int, d: int, p: float, T: float,
+                     rng: np.random.Generator) -> int:
+    """Count of the single-box process at time T, started from I0.
+
+    At m = 1, jump j comes at rate I0 + 2d(j-1) = 2d(j-1 + a) with
+    a = I0/(2d): the jump count J_T is a linear birth process with
+    immigration, so J_T ~ NegBin(a, e^{-2dT}) exactly (Kendall 1948) and one
+    draw gives the count I0 + 2d J_T.  For m > 1 the path is simulated by
+    approach4_run.  Runs past MAX_JUMPS jumps are refused either way.
+    """
+    if T <= 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    m = step_count(d, p)
+    if m > 1:
+        return int(approach4_run(I0, d, p, T, rng).series.values[-1])
+    if I0 <= 0:
+        return 0
+    try:
+        jumps = int(rng.negative_binomial(I0 / (2 * d), math.exp(-2 * d * T)))
+    except ValueError:  # numpy: "n too large or p too small", or p underflows
+        raise _too_many_jumps(I0, d, m, T) from None
+    if jumps > MAX_JUMPS:
+        raise _too_many_jumps(I0, d, m, T)
+    return I0 + 2 * d * jumps

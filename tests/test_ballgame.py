@@ -5,20 +5,18 @@ import pytest
 from scipy.stats import ks_2samp
 
 from torusvoter import ballgame
-from torusvoter.ballgame import (APPROACHES, MAX_JUMPS, BoxState,
-                                 approach3_init, approach4_run,
-                                 boxes_from_config,
+from torusvoter.ballgame import (APPROACHES, MAX_JUMPS, approach4_run,
                                  dominance_experiment, lump_boxes, p_zero,
-                                 replay_boxes, rightward_counts, rightward_move,
-                                 rightward_move_rows, single_box_count,
-                                 single_box_counts, step_count)
-from torusvoter.observables import neighbor_histogram, neighbor_histograms
+                                 rightward_counts, rightward_move,
+                                 rightward_move_rows, single_box_counts, step_count)
+from torusvoter.observables import neighbor_histograms
 from torusvoter.spin import (THRESHOLD, RngStream, build_ones_nbr,
                              config_from_bits, run, sample_product,
                              sample_product_batch)
 from torusvoter.torus import TorusShape, neighbors
 
 from bruteforce import approach2_run
+from reference import replay_boxes, single_box_count
 
 
 def rng(seed=0, stream=0):
@@ -26,30 +24,41 @@ def rng(seed=0, stream=0):
 
 
 def box(counts):
-    return BoxState(np.asarray(counts, dtype=np.int64))
+    """A box state: an int64 array b_0..b_2d of its own."""
+    return np.array(counts, dtype=np.int64)
+
+
+def boxes(cfg):
+    """The box state of a configuration, by a plain bincount of its sums."""
+    return np.bincount(cfg.ones_nbr, minlength=2 * cfg.shape.d + 1)
+
+
+def upper_mass(b):
+    """Balls in boxes d..2d (the C_hat statistic)."""
+    return int(b[(len(b) - 1) // 2:].sum())
 
 
 class TestBoxState:
     def test_from_config(self):
         shape = TorusShape(1, 4)
         cfg = config_from_bits(shape, [1, 0, 0, 0])
-        b = boxes_from_config(cfg)
+        b = boxes(cfg)
         # ones_nbr = (0, 1, 0, 1): two vertices see one 1-neighbor
-        assert list(b.counts) == [2, 2, 0]
-        assert b.d == 1 and b.total == 4 and b.upper_mass == 2
+        assert list(b) == [2, 2, 0]
+        assert (len(b) - 1) // 2 == 1 and b.sum() == 4 and upper_mass(b) == 2
 
     def test_all_ones(self):
         shape = TorusShape(2, 3)
         cfg = config_from_bits(shape, [1] * 9)
-        b = boxes_from_config(cfg)
-        assert list(b.counts) == [0, 0, 0, 0, 9]
-        assert b.upper_mass == 9
+        b = boxes(cfg)
+        assert list(b) == [0, 0, 0, 0, 9]
+        assert upper_mass(b) == 9
 
     def test_copy_is_independent(self):
         b = box([1, 2, 3])
         c = b.copy()
-        c.counts[0] = 99
-        assert b.counts[0] == 1
+        c[0] = 99
+        assert b[0] == 1
 
 
 class TestReplay:
@@ -65,8 +74,8 @@ class TestReplay:
             for (t, b), pair in zip(states[1:], traj.events):
                 live.bits[pair.vertex] = pair.new_value
                 live.ones_nbr[:] = build_ones_nbr(live.shape, live.bits)
-                expect = neighbor_histogram(live).counts
-                assert list(b.counts) == list(expect)
+                expect = boxes(live)
+                assert list(b) == list(expect)
 
     def test_conserves_total(self):
         shape = TorusShape(3, 2)
@@ -75,7 +84,7 @@ class TestReplay:
         traj = run(cfg, THRESHOLD, 2.0, r)
         n = shape.n
         for _, b in replay_boxes(traj):
-            assert b.total == n
+            assert b.sum() == n
 
 
 class TestRightwardMove:
@@ -83,40 +92,40 @@ class TestRightwardMove:
         # d=2: need 4 balls; left region holds [1, 5] -> take 4 from box 1
         b = box([1, 5, 0, 9, 2])
         rightward_move(b, rng())
-        assert list(b.counts) == [1, 1, 4, 9, 2]
+        assert list(b) == [1, 1, 4, 9, 2]
 
     def test_drain_spans_boxes(self):
         # d=2: move 3 balls from box 1 to box 2, then 1 from box 0 to box 1
         b = box([2, 3, 0, 0, 0])
         rightward_move(b, rng())
-        assert list(b.counts) == [1, 1, 3, 0, 0]
+        assert list(b) == [1, 1, 3, 0, 0]
 
     def test_shift_branch(self):
         # d=2: left region holds 3 < 4 balls -> shift left region right,
         # then draw 1 ball from boxes 2..4 into box 4
         b = box([1, 2, 0, 3, 1])
         rightward_move(b, rng(3))
-        assert b.counts[0] == 0
-        assert b.counts[1] == 1
-        assert int(b.counts[2:].sum()) == 6
+        assert b[0] == 0
+        assert b[1] == 1
+        assert int(b[2:].sum()) == 6
         # the drawn ball lands in b_4 (a draw from b_4 itself is a no-op)
-        assert b.counts[4] >= 1
+        assert b[4] >= 1
 
     def test_drain_with_gap(self):
         # d=2, left [0, 5]: 5 >= 4 balls, so drain 4 from box 1
         b = box([0, 5, 0, 9, 2])
         rightward_move(b, rng(4))
-        assert list(b.counts) == [0, 1, 4, 9, 2]
+        assert list(b) == [0, 1, 4, 9, 2]
 
     def test_never_decreases_upper_mass(self):
         g = rng(5)
         for _ in range(200):
             counts = g.integers(0, 6, size=7)
             b = box(counts)
-            before = b.upper_mass
+            before = upper_mass(b)
             rightward_move(b, g)
-            assert b.upper_mass >= before
-            assert b.total == counts.sum()
+            assert upper_mass(b) >= before
+            assert b.sum() == counts.sum()
 
 
 class TestApproach2:
@@ -124,7 +133,7 @@ class TestApproach2:
         shape = TorusShape(6, 2)
         g = rng(6)
         cfg = sample_product(shape, 0.3, g)
-        series = approach2_run(boxes_from_config(cfg), 2.0, g)
+        series = approach2_run(boxes(cfg), 2.0, g)
         assert series.values == sorted(series.values)
         assert series.times[0] == 0.0
 
@@ -149,29 +158,29 @@ class TestApproach3:
     def test_lump_d5_p03(self):
         # 2d*p0 = 4.0 -> lump boxes 4..4 into box 5
         b = box([1] * 11)
-        out = approach3_init(b, 0.3)
-        assert list(out.counts[:6]) == [1, 1, 1, 1, 0, 2]
-        assert list(out.counts[6:]) == [1] * 5
+        out = lump_boxes(b, 0.3)
+        assert list(out[:6]) == [1, 1, 1, 1, 0, 2]
+        assert list(out[6:]) == [1] * 5
 
     def test_lump_d10_p03(self):
         # 2d*p0 = 8.0 -> lump boxes 8..9 into box 10
         b = box(list(range(21)))
-        out = approach3_init(b, 0.3)
-        assert out.counts[8] == 0 and out.counts[9] == 0
-        assert out.counts[10] == 10 + 8 + 9
-        assert out.total == sum(range(21))
+        out = lump_boxes(b, 0.3)
+        assert out[8] == 0 and out[9] == 0
+        assert out[10] == 10 + 8 + 9
+        assert out.sum() == sum(range(21))
 
     def test_identity_when_band_empty(self):
         b = box([5, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0])  # d=5, nothing in 4..4
-        out = approach3_init(b, 0.3)
-        assert list(out.counts) == list(b.counts)
+        out = lump_boxes(b, 0.3)
+        assert list(out) == list(b)
 
     def test_dominates_plain_upper_mass(self):
         g = rng(8)
         for _ in range(50):
             counts = g.integers(0, 5, size=13)  # d=6
             b = box(counts)
-            assert approach3_init(b, 0.2).upper_mass >= b.upper_mass
+            assert upper_mass(lump_boxes(b, 0.2)) >= upper_mass(b)
 
 
 class TestApproach4:
@@ -335,7 +344,7 @@ class TestBatchedInitialBoxes:
         bits, ones_nbr = sample_product_batch(shape, 0.4, 9, rng(32, d))
         hist = neighbor_histograms(ones_nbr, d)
         for row_bits, row in zip(bits, hist):
-            assert np.array_equal(row, boxes_from_config(config_from_bits(shape, row_bits)).counts)
+            assert np.array_equal(row, boxes(config_from_bits(shape, row_bits)))
 
     def test_blocks_split_one_draw(self, monkeypatch):
         shape = TorusShape(4, 2)
@@ -357,7 +366,7 @@ class TestBatchedInitialBoxes:
         counts = rng(34).integers(0, 9, size=(20, 17))  # d=8
         lumped = lump_boxes(counts, 0.3)
         for row, out in zip(counts, lumped):
-            assert np.array_equal(out, approach3_init(box(row), 0.3).counts)
+            assert np.array_equal(out, lump_boxes(box(row), 0.3))
 
 
 class ConstantClock:
@@ -390,12 +399,12 @@ class TestRightwardChain:
                                         [0, 0, 0, 7, 1]])
     def test_move_rows_match_rightward_move(self, counts):
         b = box(counts)
-        before = b.upper_mass
+        before = upper_mass(b)
         rightward_move(b, rng(35))
         left = np.array([counts[:2]], dtype=np.int64)
         gained = rightward_move_rows(left)
-        assert list(left[0]) == list(b.counts[:2])
-        assert int(gained[0]) == b.upper_mass - before
+        assert list(left[0]) == list(b[:2])
+        assert int(gained[0]) == upper_mass(b) - before
 
     def test_upper_mass_sequence_fixed_by_initial_boxes(self):
         # repeated rightward_move under two seeds against the batched move:
@@ -413,12 +422,12 @@ class TestRightwardChain:
         for seed in (37, 38):
             g = rng(seed)
             for i, counts in enumerate(boxes):
-                b = box(counts.copy())
-                masses = [b.upper_mass]
-                while b.counts[:d].any():
-                    branches.add(int(b.counts[:d].sum()) >= 2 * d)
+                b = box(counts)
+                masses = [upper_mass(b)]
+                while b[:d].any():
+                    branches.add(int(b[:d].sum()) >= 2 * d)
                     rightward_move(b, g)
-                    masses.append(b.upper_mass)
+                    masses.append(upper_mass(b))
                 steps = len(masses)
                 assert masses == [int(u[i]) for u in batched[:steps]]
                 assert all(int(u[i]) == masses[-1] for u in batched[steps:])
@@ -479,12 +488,12 @@ def _path_samples(shape, p, T, replicas, g, process):
     for _ in range(replicas):
         cfg = sample_product(shape, p, g)
         if process == "C_tilde":
-            out.append(single_box_count(neighbor_histogram(cfg).suffix(lo),
+            out.append(single_box_count(int(np.count_nonzero(cfg.ones_nbr >= lo)),
                                         shape.d, p, T, g))
             continue
-        b = boxes_from_config(cfg)
+        b = boxes(cfg)
         if process == "C_bar":
-            b = approach3_init(b, p)
+            b = lump_boxes(b, p)
         out.append(approach2_run(b, T, g).values[-1])
     return np.array(out)
 

@@ -6,8 +6,7 @@ import pytest
 from torusvoter.coupling import (DominationError, coupled_run_eta_zeta,
                                  coupled_run_monotone)
 from torusvoter.oracle import ctmc_mean_ones, death_law
-from torusvoter.spin import (THRESHOLD, RngStream, config_from_bits, run,
-                             sample_product, verify_counts)
+from torusvoter.spin import THRESHOLD, RngStream, config_from_bits, run, sample_product
 from torusvoter.torus import TorusShape
 
 from bruteforce import rejection_run
@@ -34,7 +33,7 @@ class TestEtaZetaCoupling:
     def test_domination_holds_pathwise(self):
         shape = TorusShape(4, 2)
         for stream in range(50):
-            coupled_run_eta_zeta(shape, 0.4, 2.0, rng(2, stream))  # check=True
+            coupled_run_eta_zeta(shape, 0.4, 2.0, rng(2, stream))  # checks every event
 
     def test_rejects_unequal_starts(self):
         from torusvoter.coupling import _run_eta_zeta
@@ -42,7 +41,7 @@ class TestEtaZetaCoupling:
         upper = config_from_bits(shape, [1, 1, 0, 0])
         lower = config_from_bits(shape, [1, 0, 0, 0])
         with pytest.raises(ValueError):
-            _run_eta_zeta(upper, lower, 1.0, rng(), True)
+            _run_eta_zeta(upper, lower, 1.0, rng())
 
     def test_final_scan_catches_violation_away_from_x(self, monkeypatch):
         # one event: the lone 1 at vertex 0 dies in both marginals; a
@@ -66,8 +65,9 @@ class TestEtaZetaCoupling:
         monkeypatch.setattr(coupling, "_flip", corrupting_flip)
         monkeypatch.setattr(coupling, "_check_domination", spy)
         with pytest.raises(DominationError, match=r"lower\(15\)"):
-            coupling._run_eta_zeta(upper, lower, 5.0, rng(), True)
-        assert flips == [0, 0]  # upper and lower flip at the one event
+            coupling._run_eta_zeta(upper, lower, 5.0, rng())
+        assert flips == [0]  # the upper marginal flips at the one event
+        assert lower.bits[0] == 0  # the death marginal clears its bit in place
         assert checks == [None, 0, None]  # start scan, event at x=0, end scan
 
     def test_check_domination_per_vertex_and_full(self):

@@ -35,10 +35,11 @@ from torusvoter.harness import ExperimentSpec, run_experiment
 from torusvoter.observables import EAccumulator, fraction_series
 from torusvoter.oracle import UniformizedSeries
 from torusvoter.spin import (DEATH, THRESHOLD, EventEngine, RngStream, _IndexedSet,
-                             death_rate, run, sample_product, threshold_rate)
+                             run, sample_product, threshold_rate)
 from torusvoter.torus import TorusShape, neighbors
 
 from bruteforce import _exp_variate
+from reference import death_rate
 
 GOLDEN = {
     "simulate_r2_d8": (

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from torusvoter.oracle import ctmc_mean_ones
 from torusvoter.spin import (DEATH, THRESHOLD, Configuration, CountMismatchError,
                              EventEngine, RngStream, build_ones_nbr,
-                             config_from_bits, death_rate, flip_and_count,
+                             config_from_bits, flip_and_count,
                              rate_rows, rate_table, replay, run,
                              sample_product, sample_product_batch,
                              threshold_rate, toggle_rows, verify_counts)
 from torusvoter.torus import TorusShape
 
 from bruteforce import rejection_run
-from reference import sample_death_counts
+from reference import death_rate, sample_death_counts
 
 
 def rng(seed=0, stream=0):
