@@ -25,7 +25,8 @@ and every draw, are those of a recheck of x and all its neighbors.  They
 share one loop, _coupled_loop, which rings their arms through
 spin._IndexedSet.ring and a spin.DrawStream, as the engine does; each run
 supplies its arms and a fire(t, arm) closure that flips and resyncs them.
-rng is in sync with the draws when a run returns or raises.
+Both draw their start with rng.random(), which leaves no half-word, so the
+stream's draws are those of direct rng.random() and rng.integers(k) calls.
 """
 
 from __future__ import annotations
@@ -241,21 +242,17 @@ def _coupled_loop(upper, lower, arms, fire, T, rng) -> CoupledTrajectory:
     returns the CoupledEvent.
 
     Domination is scanned in full at the start and the end, and checked at
-    the event's vertex after each event.  rng is in sync with the draws on
-    return, also when a check raises.
+    the event's vertex after each event.
     """
     events: list[CoupledEvent] = []
     traj = CoupledTrajectory(upper.copy(), lower.copy(), events, T)
     _check_domination(lower, upper)
     t = 0.0
     draws = DrawStream(rng)
-    try:
-        while (ring := arms.ring(draws, t, T)) is not None:
-            t, arm = ring
-            ev = fire(t, arm)
-            events.append(ev)
-            _check_domination(lower, upper, ev.vertex)
-    finally:
-        draws.close()
+    while (ring := arms.ring(draws, t, T)) is not None:
+        t, arm = ring
+        ev = fire(t, arm)
+        events.append(ev)
+        _check_domination(lower, upper, ev.vertex)
     _check_domination(lower, upper)
     return traj

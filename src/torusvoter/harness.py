@@ -288,11 +288,8 @@ def _oracle_rows(spec: ExperimentSpec):
     ctmc_ok = shape.n <= oracle.CTMC_MAX_VERTICES
     start = p
     if spec.init_bits is not None:
-        if not ctmc_ok:
-            # a fixed initial state only makes sense for the exact solver
-            raise oracle.CapacityError(
-                f"{shape.n} vertices means 2^{shape.n} states; "
-                f"limit is 2^{oracle.CTMC_MAX_VERTICES}")
+        # a fixed initial state only makes sense for the exact solver
+        oracle._check_capacity(shape)
         start = spin.config_from_bits(shape, [int(c) for c in spec.init_bits])
     # one uniformized series serves the whole grid
     series = oracle.UniformizedSeries(shape, start) if ctmc_ok else None

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .spin import THRESHOLD, rate_table
 from .torus import TorusShape, neighbor_lists, neighbors, two_hop_set
 
 CTMC_MAX_VERTICES = 20
@@ -85,10 +86,7 @@ def vertex_tail(shape: TorusShape, p: float, k: int) -> float:
     The sum counts multiplicity, so it is Binomial(2d, p) for r >= 3 but
     2 * Binomial(d, p) on the r=2 multigraph.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {p}")
-    mults = tuple(sorted(_multiplicities(shape, 0).values()))
-    return _weighted_bernoulli_tail(mults, p, k)
+    return neighbor_tail(shape.d, shape.r, p, k)
 
 
 def neighbor_tail(d: int, r: int, p: float, k: int) -> float:
@@ -279,9 +277,8 @@ def _state_tables(shape: TorusShape) -> _StateTables:
     for x in range(n):
         for y in nbrs_of(x):
             ones_nbr[x] += w * bits[y]
-    d = shape.d
-    disagree = np.where(bits == 0, ones_nbr, 2 * d - ones_nbr)
-    return _StateTables(reps, orbit, sizes, bits, disagree >= d)
+    active = rate_table(shape.d, THRESHOLD)[bits, ones_nbr]
+    return _StateTables(reps, orbit, sizes, bits, active)
 
 
 def _uniformized_kernel(shape: TorusShape, tables: _StateTables):

@@ -25,15 +25,15 @@ the set whatever its order.  The numpy arrays stay the live state, so
 observers and verify_counts see every flip.
 
 Every Gillespie loop (the engine here and both couplings) draws its
-Exp(k) gap and uniform index through one DrawStream.  It computes
-rng.random() and rng.integers(k) from blocks of raw bit-generator words
-in pure Python, bit for bit what numpy would return, at a fraction of
-numpy's per-call cost; close() then leaves the Generator exactly where
-the direct calls would have.  run and the couplings close it on exit;
-code that steps an EventEngine by hand and then draws from the same
-Generator must call engine.close() first.  All three loops take their
-next ring from one method, _IndexedSet.ring: an Exp(k) gap over the k
-armed items, then a uniform item.
+Exp(k) gap and uniform index through one DrawStream, which computes them
+in pure Python from blocks of raw bit-generator words that it owns.  Only
+from a Generator that holds no half-word, as after the random() draws of
+an initial configuration, are they bit for bit what direct rng.random()
+and rng.integers(k) calls would return.  The words left in a run's last
+block are dropped, so a later run on the same Generator draws fresh
+words.  All three loops take their next ring from one method,
+_IndexedSet.ring: an Exp(k) gap over the k armed items, then a uniform
+item.
 """
 
 from __future__ import annotations
@@ -160,68 +160,46 @@ def verify_counts(cfg: Configuration) -> None:
 
 _U32 = 0xFFFFFFFF
 _TWO_M53 = 2.0**-53
-COLD_DRAWS = 8  # draws served straight from the Generator before blocks start
 _FIRST_BLOCK, _MAX_BLOCK = 64, 1024  # raw words per block, doubling
 
 
-@cache
-def _keeps_half_word(kind: type) -> bool:
-    """Whether bit generators of this type keep has_uint32/uinteger state."""
-    return "has_uint32" in kind().state
-
-
 class DrawStream:
-    """The draws of a Generator, served from raw blocks of its bit generator.
+    """Exp(rate) gaps and uniform indices from raw words of a Generator's
+    bit generator, at a fraction of numpy's per-call cost.
 
-    exponential(rate) returns exactly -log1p(-rng.random()) / rate (the
-    inverse CDF, for cross-platform reproducibility) and index(k) exactly
-    int(rng.integers(k)), for 1 <= k <= 2**32.  numpy's random() is
-    (u >> 11) * 2**-53 of one raw 64-bit word u; integers(k) is Lemire's
-    bounded method on 32-bit draws (Lemire 2019, ACM TOMACS 29(1)), where
-    a fresh word yields its low half and keeps the high half in the
-    state's has_uint32/uinteger for the next 32-bit draw; k = 1 draws
-    nothing, k = 2**32 returns the 32-bit draw itself.  Both are
-    reproduced here from bit_generator.random_raw(m).tolist() blocks.
+    exponential(rate) is -log1p(-u) / rate (the inverse CDF, for
+    cross-platform reproducibility), where u = (w >> 11) * 2**-53 of one
+    raw 64-bit word w, as in numpy's random().  index(k), for
+    1 <= k <= 2**32, is Lemire's bounded method on 32-bit draws (Lemire
+    2019, ACM TOMACS 29(1)), as in numpy's integers(k): a word yields its
+    low half and keeps the high half for the next 32-bit draw; k = 1 draws
+    nothing, k = 2**32 returns the 32-bit draw itself.
 
-    The first COLD_DRAWS draws go to the Generator itself, so a short run
-    never pays for the state read at the switch to blocks.  close() rewinds
-    the bit generator to that switch and advances it by the words used,
-    with the emulated has_uint32/uinteger; the Generator is then where the
-    direct calls would have left it.  Call close() before drawing from the
-    Generator again.  Bit generators without has_uint32 in their state
-    (MT19937) raise TypeError; Philox, PCG64, PCG64DXSM and SFC64 work.
+    The stream owns the words it fetches, in
+    bit_generator.random_raw(m).tolist() blocks (64 words, doubling to
+    1024), and its half-word buffer starts empty.  So from a Generator that
+    holds no half-word (has_uint32 = 0, as after random() or random_raw
+    calls) the draws are exactly those of direct rng.random() and
+    int(rng.integers(k)) calls.  The words left in the last block are
+    dropped: the Generator has moved past them, so later draws from it,
+    or from another stream on it, are independent of this one's.  MT19937,
+    whose raw words are 32-bit, is refused with TypeError.
     """
 
-    __slots__ = ("rng", "_bitgen", "_cold", "_start", "_buf", "_i", "_used",
-                 "_has32", "_u32", "_block")
+    __slots__ = ("_bitgen", "_buf", "_i", "_has32", "_u32", "_block")
 
     def __init__(self, rng: np.random.Generator):
         bitgen = rng.bit_generator
-        if not _keeps_half_word(type(bitgen)):
-            raise TypeError(f"{type(bitgen).__name__} keeps no has_uint32 state")
-        self.rng = rng
+        if isinstance(bitgen, np.random.MT19937):
+            raise TypeError("MT19937 gives 32-bit raw words")
         self._bitgen = bitgen
-        self._cold = COLD_DRAWS + 1  # > 1: direct draws left; 1: switch next
-        self._reset()
-
-    def _reset(self):
-        self._start = None  # bit-generator state at the switch to blocks
         self._buf: list[int] = []
         self._i = 0  # next word in _buf
-        self._used = 0  # words of earlier blocks, all used
-        self._has32 = self._u32 = 0
+        self._has32 = self._u32 = 0  # the kept high half-word, if any
         self._block = _FIRST_BLOCK
-
-    def _switch(self):
-        """Read the live state once; from here on, draw from blocks."""
-        state = self._bitgen.state
-        self._start = state
-        self._has32, self._u32 = state["has_uint32"], state["uinteger"]
-        self._cold = 0
 
     def _refill(self) -> int:
         """Fetch the next block; return its first word and consume it."""
-        self._used += len(self._buf)
         m = self._block
         self._block = min(2 * m, _MAX_BLOCK)
         self._buf = buf = self._bitgen.random_raw(m).tolist()
@@ -230,11 +208,6 @@ class DrawStream:
 
     def exponential(self, rate: float) -> float:
         """An Exp(rate) variate: -log1p(-rng.random()) / rate."""
-        if self._cold:
-            if self._cold > 1:
-                self._cold -= 1
-                return -math.log1p(-self.rng.random()) / rate
-            self._switch()
         i = self._i
         try:
             u = self._buf[i]
@@ -249,11 +222,6 @@ class DrawStream:
             if k == 1:  # numpy draws nothing either
                 return 0
             raise ValueError(f"index bound must lie in [1, 2**32], got {k}")
-        if self._cold:
-            if self._cold > 1:
-                self._cold -= 1
-                return int(self.rng.integers(k))
-            self._switch()
         # at k = 2**32 this returns the 32-bit draw itself, as numpy does
         m = self._next32() * k
         if m & _U32 < k:
@@ -275,24 +243,6 @@ class DrawStream:
         self._has32 = 1
         self._u32 = u >> 32
         return u & _U32
-
-    def close(self) -> None:
-        """Leave the Generator where the direct draws would have; idempotent.
-
-        Later draws read the state afresh (no cold phase).
-        """
-        start = self._start
-        if start is None:
-            return
-        start["has_uint32"], start["uinteger"] = self._has32, self._u32
-        self._bitgen.state = start
-        used = self._used + self._i
-        while used:  # in bounded chunks; output=False is slower
-            chunk = min(used, _MAX_BLOCK * 64)
-            self._bitgen.random_raw(chunk)
-            used -= chunk
-        self._reset()
-        self._cold = 1
 
 
 class _IndexedSet:
@@ -410,8 +360,7 @@ def flip_and_count(bits, ones_nbr, x: int, new: int, nbrs, w: int, toggles) -> l
 class EventEngine:
     """Gillespie loop over the active set for one of the two dynamics.
 
-    Draws go through a DrawStream on rng: call close() before drawing from
-    rng directly again (run does).
+    Draws go through a DrawStream on rng.
     """
 
     def __init__(self, cfg: Configuration, kind: str, rng: np.random.Generator):
@@ -429,10 +378,6 @@ class EventEngine:
         # ascending vertex order, as adding them one by one would give
         active = np.flatnonzero(rate_table(shape.d, kind)[cfg.bits, cfg.ones_nbr])
         self.active = _IndexedSet(shape.n, active.tolist())
-
-    def close(self) -> None:
-        """Sync rng with the draws made so far (see DrawStream.close)."""
-        self.draws.close()
 
     def _apply_flip(self, x) -> int:
         """Flip x, update neighbor counts and the active set; return new value.
@@ -472,28 +417,24 @@ def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
     """Simulate the dynamics on [0, T], notifying observers at 0, events, T.
 
     Observers are callables observer(time, engine, event_or_None); they see
-    the live post-flip state.  rng is in sync with the run's draws on
-    return, also when an observer raises.
+    the live post-flip state.
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     initial = cfg.copy()
     engine = EventEngine(cfg, kind, rng)
     events: list[FlipEvent] = []
-    try:
+    for obs in observers:
+        obs(0.0, engine, None)
+    while engine.time < T:
+        ev = engine.step(T)
+        if ev is None:
+            break
+        events.append(ev)
         for obs in observers:
-            obs(0.0, engine, None)
-        while engine.time < T:
-            ev = engine.step(T)
-            if ev is None:
-                break
-            events.append(ev)
-            for obs in observers:
-                obs(ev.time, engine, ev)
-        for obs in observers:
-            obs(T, engine, None)
-    finally:
-        engine.close()
+            obs(ev.time, engine, ev)
+    for obs in observers:
+        obs(T, engine, None)
     return Trajectory(initial, events, T)
 
 

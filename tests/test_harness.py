@@ -329,10 +329,10 @@ class TestCliExitCodes:
         assert err.startswith("validation error:") and "init_bits" in err
 
     def test_capacity_error(self, capsys):
-        code = main(["oracle", "--d", "3", "--r", "3", "--p", "0.4",
-                     "--init", "0" * 27])
-        assert code == 3
-        assert "capacity error" in capsys.readouterr().err
+        for d, r, init in (("3", "3", "0" * 27), ("5", "2", "1" * 32)):
+            code = main(["oracle", "--d", d, "--r", r, "--p", "0.4", "--init", init])
+            assert code == 3
+            assert "capacity error" in capsys.readouterr().err
 
     def test_single_box_jump_cap(self, capsys):
         code = main(["ballgame", "--d", "6", "--p", "0.3", "--T", "3",
