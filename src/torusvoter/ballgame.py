@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import EAccumulator, ObservableSeries, neighbor_histograms
-from .spin import THRESHOLD, Configuration, run, sample_product_batch
+from .spin import THRESHOLD, Configuration, check_horizon, run, sample_product_batch
 from .torus import TorusShape
 
 
@@ -174,8 +174,7 @@ def approach4_run(I0: int, d: int, p: float, T: float,
                   rng: np.random.Generator) -> SingleBoxRun:
     """Single-box process: count I0 + 2d*j after j jumps, jump j taking the
     sum of m unit exponentials divided by the pre-jump count."""
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     m = step_count(d, p)
     times, values = [0.0], [float(I0)]
     if I0 <= 0:
@@ -213,8 +212,7 @@ def single_box_counts(I0: np.ndarray, d: int, p: float, T: float,
     NegBin draw, and I0 = 0 draws nothing.  At m > 1 each entry runs
     approach4_run in turn.  Runs past MAX_JUMPS jumps are refused either way.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     m = step_count(d, p)
     if m > 1:
         return np.array([approach4_run(int(i), d, p, T, rng).series.values[-1] for i in I0],

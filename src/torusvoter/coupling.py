@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import ObservableSeries
-from .spin import (THRESHOLD, Configuration, DrawStream, _IndexedSet,
+from .spin import (THRESHOLD, Configuration, DrawStream, _IndexedSet, check_horizon,
                    config_from_bits, flip_and_count, rate_rows, rate_table,
                    sample_product, toggle_rows)
 from .torus import TorusShape, neighbor_lists
@@ -119,8 +119,7 @@ def coupled_run_eta_zeta(shape: TorusShape, p: float, T: float,
     to the union active set; vertices inactive in both marginals ring with
     no effect and are skipped exactly.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     upper = sample_product(shape, p, rng)
     lower = upper.copy()
     return _run_eta_zeta(upper, lower, T, rng)
@@ -171,8 +170,7 @@ def coupled_run_monotone(shape: TorusShape, p1: float, p2: float, T: float,
     upper bit = 1{U < p2}.  Clock arms per vertex: a shared arm while the
     marginals agree at the vertex, two independent arms while they do not.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     if p1 > p2:
         raise ValueError(f"need p1 <= p2, got {p1} > {p2}")
     u = rng.random(shape.n)

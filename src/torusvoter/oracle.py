@@ -1,12 +1,14 @@
 """Exact and closed-form references the Monte Carlo engine is checked against.
 
-Everything here is deterministic: binomial tails in log-space, the variance
-of the initial |C_0| count by pair decomposition, the transient solution of
-the 2^n-state chain by uniformization, and the exact law of the death
-process.  The chain is solved on the orbits of its states under the r^d
-torus translations, about 2^n / n of them: the threshold rule, the product
-law and |A_t| are translation invariant, so the lumped chain gives E|A_t|
-exactly (UniformizedSeries).
+Everything here is deterministic: binomial tails in log-space, neighbor-sum
+tails from one Bin(m, p) law (m distinct neighbors, each filling w slots),
+the variance of the initial |C_0| count by pair decomposition, the transient
+solution of the 2^n-state chain by uniformization over one mode-anchored
+Poisson window, and the exact law of the death process.  The chain is
+solved on the orbits of its states under the r^d torus translations, about
+2^n / n of them: the threshold rule, the product law and |A_t| are
+translation invariant, so the lumped chain gives E|A_t| exactly
+(UniformizedSeries).
 
 scipy is imported inside the two functions that use it (binom_logtail and
 the kernel of UniformizedSeries): importing it takes longer than importing
@@ -17,7 +19,6 @@ modes never reach either function.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -92,15 +93,16 @@ def vertex_tail(shape: TorusShape, p: float, k: int) -> float:
 def neighbor_tail(d: int, r: int, p: float, k: int) -> float:
     """vertex_tail from (d, r) alone, for tori too large to index.
 
-    The multiplicity profile is (2,)*d when r = 2 (both slots per dimension
-    hit the same vertex) and (1,)*2d for r >= 3.
+    A vertex has m distinct neighbors, each filling w of its 2d slots: m = d
+    and w = 2 when r = 2 (both slots per dimension hit the same vertex), and
+    m = 2d, w = 1 for r >= 3.  So the tail is P(Bin(m, p) >= ceil(k/w)).
     """
     if d < 1 or r < 2:
         raise ValueError(f"need d >= 1 and r >= 2, got d={d}, r={r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {p}")
-    mults = (2,) * d if r == 2 else (1,) * (2 * d)
-    return _weighted_bernoulli_tail(mults, p, k)
+    w = _slot_weight(r)
+    return _binomial_tail(2 * d // w, p, -(-k // w))
 
 
 def expected_suffix_count(shape: TorusShape, p: float, k: int) -> float:
@@ -115,65 +117,49 @@ def expected_C0(shape: TorusShape, p: float) -> float:
     return expected_suffix_count(shape, p, shape.d)
 
 
+def _slot_weight(r: int) -> int:
+    """Neighbor slots filled by each distinct neighbor of a vertex."""
+    return 2 if r == 2 else 1
+
+
 @lru_cache(maxsize=None)
-def _weighted_bernoulli_dist(mults: tuple[int, ...], p: float) -> tuple[float, ...]:
-    """Distribution of sum m_i X_i with X_i iid Bernoulli(p)."""
+def _binomial_pmf(m: int, p: float) -> tuple[float, ...]:
+    """P(Bin(m, p) = j) for j = 0..m, by m Bernoulli(p) convolutions."""
     dist = [1.0]
-    for m in mults:
-        new = [0.0] * (len(dist) + m)
-        for s, w in enumerate(dist):
-            new[s] += w * (1.0 - p)
-            new[s + m] += w * p
+    for _ in range(m):
+        new = [0.0] * (len(dist) + 1)
+        for j, w in enumerate(dist):
+            new[j] += w * (1.0 - p)
+            new[j + 1] += w * p
         dist = new
     return tuple(dist)
 
 
-def _weighted_bernoulli_tail(mults: tuple[int, ...], p: float, t: int) -> float:
-    """P(sum m_i X_i >= t)."""
-    if t <= 0:
+def _binomial_tail(m: int, p: float, j: int) -> float:
+    """P(Bin(m, p) >= j), summed upward from the cached pmf."""
+    if j <= 0:
         return 1.0
-    dist = _weighted_bernoulli_dist(tuple(sorted(mults)), p)
-    if t >= len(dist):
-        return 0.0
-    return float(sum(dist[t:]))
-
-
-def _multiplicities(shape: TorusShape, x: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for y in neighbors(shape, x):
-        out[y] = out.get(y, 0) + 1
-    return out
+    return float(sum(_binomial_pmf(m, p)[j:]))
 
 
 def joint_tail_C0(shape: TorusShape, p: float, x1: int, x2: int) -> float:
     """P(both x1 and x2 have >= d one-neighbors under the product law).
 
-    Conditions on the bits of the shared neighbor set exactly (2^|S| terms),
-    then multiplies independent weighted-Bernoulli tails over the disjoint
-    remainders.  Valid for every r, including the r=2 multigraph.
+    Conditions on how many of the shared distinct neighbors hold a one
+    (|S| + 1 binomial terms), then multiplies the independent tails of the
+    two disjoint remainders, which have equal size.  Every distinct neighbor
+    fills w slots, so x needs ceil(d/w) of them to be ones.  Valid for
+    every r, including the r=2 multigraph.
     """
     d = shape.d
     if x1 == x2:
         return vertex_tail(shape, p, d)
-    m1 = _multiplicities(shape, x1)
-    m2 = _multiplicities(shape, x2)
-    shared = sorted(set(m1) & set(m2))
-    r1 = tuple(m for v, m in m1.items() if v not in m2)
-    r2 = tuple(m for v, m in m2.items() if v not in m1)
-    total = 0.0
-    for mask in range(1 << len(shared)):
-        w, c1, c2 = 1.0, 0, 0
-        for i, s in enumerate(shared):
-            if mask >> i & 1:
-                w *= p
-                c1 += m1[s]
-                c2 += m2[s]
-            else:
-                w *= 1.0 - p
-        total += (w
-                  * _weighted_bernoulli_tail(r1, p, d - c1)
-                  * _weighted_bernoulli_tail(r2, p, d - c2))
-    return total
+    n1 = set(neighbors(shape, x1))
+    shared = len(n1 & set(neighbors(shape, x2)))
+    rest = len(n1) - shared
+    need = -(-d // _slot_weight(shape.r))
+    return sum(q * _binomial_tail(rest, p, need - j) ** 2
+               for j, q in enumerate(_binomial_pmf(shared, p)))
 
 
 def exact_var_C0(shape: TorusShape, p: float) -> float:
@@ -318,9 +304,11 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
-def _start_key(initial):
-    """("state", s) for a Configuration, ("density", p) for a density."""
+def _start_key(shape: TorusShape, initial):
+    """("state", s) for a Configuration on shape, ("density", p) for a density."""
     if hasattr(initial, "bits"):
+        if initial.shape != shape:
+            raise ValueError(f"start configuration is on {initial.shape}, not {shape}")
         return "state", int(sum(int(b) << x for x, b in enumerate(initial.bits)))
     p = float(initial)
     if not 0.0 <= p <= 1.0:
@@ -351,7 +339,7 @@ class UniformizedSeries:
     def __init__(self, shape: TorusShape, initial):
         _check_capacity(shape)
         self.shape = shape
-        self.start = _start_key(initial)
+        self.start = _start_key(shape, initial)
         n = shape.n
         tables = _state_tables(shape)
         self._popcount = tables.bits.sum(axis=0).astype(float)
@@ -384,35 +372,16 @@ class UniformizedSeries:
         return self._a[k]
 
     def mean_ones(self, t: float, tol: float = 1e-10) -> float:
-        """E|A_t| to within tol; ValueError past MAX_MATVECS Poisson terms."""
-        _check_time(t)
-        n = self.shape.n
-        lam_t = n * t
-        w = math.exp(-lam_t)
-        if w < sys.float_info.min:
-            # e^{-nt} is subnormal or 0: too few digits to start the recursion
-            return self._mean_ones_from_mode(t, tol)
-        cum = w
-        total = w * self._term(0)
-        k = 0
-        # n bounds |A_t|, so remaining Poisson mass * n bounds the truncation error
-        while (1.0 - cum) * n > tol:
-            k += 1
-            if k > MAX_MATVECS:
-                raise _too_many_terms(t, n)
-            w *= lam_t / k
-            cum += w
-            total += w * self._term(k)
-        return total
+        """E|A_t| to within tol; ValueError past MAX_MATVECS Poisson terms.
 
-    def _mean_ones_from_mode(self, t: float, tol: float) -> float:
-        """The Poisson(nt) sum with weights relative to the mode (Fox & Glynn
-        1988, "Computing Poisson probabilities", CACM 31(4)).
-
-        Past the left and right truncation points the weights fall faster
-        than a geometric series of ratio q < 1, so w q/(1 - q) bounds each
-        dropped tail; both stop below tol/(2n) of the weight kept.
+        The Poisson(nt) weights are relative to the mode (Fox & Glynn 1988,
+        "Computing Poisson probabilities", CACM 31(4)), so none underflows.
+        Past the left and right truncation points they fall faster than a
+        geometric series of ratio q < 1, so w q/(1 - q) bounds each dropped
+        tail; both stop below tol/(2n) of the weight kept.  At t = 0 the
+        window is [1.0], and the mean is a_0 exactly.
         """
+        _check_time(t)
         n = self.shape.n
         lam = n * t
         mode = math.floor(lam)
@@ -459,7 +428,7 @@ def ctmc_mean_ones(shape: TorusShape, initial, t: float, tol: float = 1e-10, *,
     if series is None:
         series = UniformizedSeries(shape, initial)
     else:
-        start = _start_key(initial)
+        start = _start_key(shape, initial)
         if (series.shape, series.start) != (shape, start):
             raise ValueError(f"series was built for {series.shape} from "
                              f"{series.start}, not {shape} from {start}")

@@ -412,6 +412,13 @@ class EventEngine:
         return FlipEvent(self.time, x, self._apply_flip(x))
 
 
+def check_horizon(T: float) -> None:
+    """ValueError unless T is finite and positive: a run to T = nan or inf
+    would stop only when the chain absorbs."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon must be finite and positive, got {T}")
+
+
 def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
         observers=()) -> Trajectory:
     """Simulate the dynamics on [0, T], notifying observers at 0, events, T.
@@ -419,8 +426,7 @@ def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
     Observers are callables observer(time, engine, event_or_None); they see
     the live post-flip state.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     initial = cfg.copy()
     engine = EventEngine(cfg, kind, rng)
     events: list[FlipEvent] = []

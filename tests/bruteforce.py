@@ -12,7 +12,8 @@ from scipy import sparse
 from torusvoter.ballgame import rightward_move
 from torusvoter.observables import ObservableSeries, fluid
 from torusvoter.oracle import UniformizedSeries, _check_capacity, _start_key
-from torusvoter.spin import FlipEvent, Trajectory, flip_and_count, rate_rows, toggle_rows
+from torusvoter.spin import (FlipEvent, Trajectory, check_horizon, flip_and_count,
+                             rate_rows, toggle_rows)
 from torusvoter.torus import TorusShape, decode, encode, neighbor_lists, neighbors
 
 
@@ -107,8 +108,7 @@ def rejection_run(cfg, kind: str, T: float, rng):
 def approach2_run(counts: np.ndarray, T: float, rng) -> ObservableSeries:
     """C_hat_t series from box counts b_0..b_2d: moves at rate C_hat_t,
     never moving balls left."""
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     box = np.array(counts, dtype=np.int64)
     d = (len(box) - 1) // 2
     t = 0.0
@@ -176,7 +176,7 @@ class FullChainSeries(UniformizedSeries):
     def __init__(self, shape: TorusShape, initial):
         _check_capacity(shape)
         self.shape = shape
-        self.start = _start_key(initial)
+        self.start = _start_key(shape, initial)
         n = shape.n
         bits, active = full_state_tables(shape)
         self._popcount = bits.sum(axis=0).astype(float)

@@ -3,12 +3,14 @@
 The set classification of a configuration, per-vertex survival times of a
 voter-model trajectory, the vectorised death-process sampler, the scalar
 death rate, the coordinate enumeration of a torus, the ball replay of a
-trajectory and the scalar single-box count.  The exact judges of the paper's claims
+trajectory, the scalar single-box count and the Poisson sum of a
+uniformized series from e^{-nt}.  The exact judges of the paper's claims
 (oracle.death_law, the orbit oracle, the binomial tails) stay in the
 package; these are the quantities the tests hold against them.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -16,7 +18,9 @@ import numpy as np
 
 from torusvoter.ballgame import MAX_JUMPS, _too_many_jumps, approach4_run, step_count
 from torusvoter.observables import ObservableSeries, neighbor_histograms
-from torusvoter.spin import THRESHOLD, Configuration, Trajectory, flip_and_count, toggle_rows
+from torusvoter.oracle import UniformizedSeries
+from torusvoter.spin import (THRESHOLD, Configuration, Trajectory, check_horizon,
+                             flip_and_count, toggle_rows)
 from torusvoter.torus import TorusShape, neighbor_lists
 
 
@@ -150,8 +154,7 @@ def single_box_count(I0: int, d: int, p: float, T: float,
     draw gives the count I0 + 2d J_T.  For m > 1 the path is simulated by
     approach4_run.  Runs past MAX_JUMPS jumps are refused either way.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     m = step_count(d, p)
     if m > 1:
         return int(approach4_run(I0, d, p, T, rng).series.values[-1])
@@ -164,3 +167,22 @@ def single_box_count(I0: int, d: int, p: float, T: float,
     if jumps > MAX_JUMPS:
         raise _too_many_jumps(I0, d, m, T)
     return I0 + 2 * d * jumps
+
+
+def poisson_recursion_mean(series: UniformizedSeries, t: float, tol: float = 1e-10) -> float:
+    """E|A_t| from the cached terms of a series, with the Poisson(nt)
+    weights built upward from e^{-nt}, which must be a normal float (nt
+    below about 708).  It stops once the Poisson mass left, times the bound
+    n on |A_t|, is at most tol."""
+    n = series.shape.n
+    lam = n * t
+    w = math.exp(-lam)
+    if w < sys.float_info.min:
+        raise ValueError(f"e^-{lam} is not a normal float")
+    cum, total, k = w, w * series._term(0), 0
+    while (1.0 - cum) * n > tol:
+        k += 1
+        w *= lam / k
+        cum += w
+        total += w * series._term(k)
+    return total

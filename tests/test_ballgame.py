@@ -197,6 +197,11 @@ class TestApproach4:
         for j, v in enumerate(vals[1:], start=1):
             assert v == 100.0 + 20.0 * j
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="finite and positive"):
+            approach4_run(5, 10, 0.3, T, rng())
+
     def test_zero_start_frozen(self):
         out = approach4_run(0, 10, 0.3, 1.0, rng(10))
         assert out.series.values == [0.0]
@@ -479,6 +484,12 @@ class TestSingleBoxCounts:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             single_box_counts(np.array([5]), 8, 0.3, 0.0, rng())
+
+    @pytest.mark.parametrize("d", [8, 10])  # m = 1 and m = 2 at p = 0.3
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, T, d):
+        with pytest.raises(ValueError, match="finite and positive"):
+            single_box_counts(np.array([5]), d, 0.3, T, rng())
 
 
 def _path_samples(shape, p, T, replicas, g, process):

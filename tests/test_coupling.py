@@ -35,6 +35,11 @@ class TestEtaZetaCoupling:
         for stream in range(50):
             coupled_run_eta_zeta(shape, 0.4, 2.0, rng(2, stream))  # checks every event
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="finite and positive"):
+            coupled_run_eta_zeta(TorusShape(2, 3), 0.4, T, rng())
+
     def test_rejects_unequal_starts(self):
         from torusvoter.coupling import _run_eta_zeta
         shape = TorusShape(1, 4)
@@ -118,6 +123,11 @@ class TestMonotoneCoupling:
     def test_rejects_unordered_densities(self):
         with pytest.raises(ValueError):
             coupled_run_monotone(TorusShape(2, 2), 0.5, 0.3, 1.0, rng())
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="finite and positive"):
+            coupled_run_monotone(TorusShape(2, 3), 0.3, 0.45, T, rng())
 
     def test_order_preserved_pathwise(self):
         shape = TorusShape(4, 2)

@@ -20,6 +20,7 @@ from torusvoter.torus import TorusShape, neighbors
 from bruteforce import (FullChainSeries, enumerate_C0_moments,
                         enumerate_suffix_count, full_state_tables,
                         full_uniformized_kernel, translation_orbits)
+from reference import poisson_recursion_mean
 
 
 class TestBinomialTail:
@@ -124,8 +125,10 @@ class TestVertexTail:
 
 
 class TestExactMomentsAgainstEnumeration:
+    # (2, 3): r >= 3 with two shared neighbors and nonempty remainders;
+    # (3, 2): r = 2 at odd d, where ceil(d/2) distinct neighbors are needed
     GRID = [TorusShape(1, 3), TorusShape(1, 4), TorusShape(1, 5),
-            TorusShape(2, 2)]
+            TorusShape(2, 2), TorusShape(2, 3), TorusShape(3, 2)]
     DENSITIES = [0.1, 0.3, 0.5, 0.7, 0.9]
 
     def test_expected_C0(self):
@@ -240,7 +243,8 @@ def _deadline(seconds: float):
 
 
 class TestUnderflowedPoissonStart:
-    """n*t past about 708: e^{-nt} is no longer a normal float."""
+    """n*t past about 708, where e^{-nt} is no longer a normal float: the
+    mode-anchored Poisson window still sums there."""
 
     def test_returns_after_absorption(self):
         # the 4-vertex chain has absorbed long before t = 180
@@ -254,16 +258,15 @@ class TestUnderflowedPoissonStart:
         assert abs(late - early) <= 1e-10
 
     def test_agrees_with_recursion_below_switch(self):
-        # t = 170: n*t = 680 still starts the recursion at e^{-680}
-        shape = TorusShape(1, 4)
-        series = UniformizedSeries(shape, 0.4)
-        with _deadline(20):
-            assert abs(series.mean_ones(170.0) - series.mean_ones(190.0)) <= 1e-10
-        shape = TorusShape(2, 3)
-        series = UniformizedSeries(shape, 0.3)
-        for t in (0.5, 2.0, 20.0):
-            assert abs(series._mean_ones_from_mode(t, 1e-10)
-                       - series.mean_ones(t)) <= 1e-10
+        # the sum from e^{-nt} is exact while that is a normal float;
+        # t = 170 on (1, 4) gives n*t = 680, near its end
+        for shape, p, times in ((TorusShape(2, 3), 0.3, (0.5, 2.0, 20.0)),
+                                (TorusShape(1, 4), 0.4, (170.0,))):
+            series = UniformizedSeries(shape, p)
+            with _deadline(20):
+                for t in times:
+                    assert abs(series.mean_ones(t)
+                               - poisson_recursion_mean(series, t)) <= 1e-10
 
     def test_term_cap(self, monkeypatch):
         shape = TorusShape(1, 4)
@@ -276,7 +279,7 @@ class TestUnderflowedPoissonStart:
             ctmc_mean_ones(shape, 0.4, 200.0)
         monkeypatch.setattr(oracle, "MAX_MATVECS", 10)
         with pytest.raises(ValueError, match="more than 10"):
-            ctmc_mean_ones(shape, 0.4, 5.0)  # the recursion needs 56 terms
+            ctmc_mean_ones(shape, 0.4, 5.0)  # the Poisson mode is term 20
 
 
 def _delta_start(shape):
@@ -311,6 +314,16 @@ class TestUniformizedSeries:
         with pytest.raises(ValueError, match="series was built for"):
             ctmc_mean_ones(shape, config_from_bits(shape, [1] + [0] * 8), 1.0,
                            series=delta)
+
+    def test_rejects_start_from_other_torus(self):
+        # (2, 4) and (4, 2) both have 16 vertices; (1, 4) has one more than (1, 3)
+        for shape, other in ((TorusShape(4, 2), TorusShape(2, 4)),
+                             (TorusShape(1, 3), TorusShape(1, 4))):
+            init = _delta_start(other)
+            with pytest.raises(ValueError, match="start configuration is on"):
+                UniformizedSeries(shape, init)
+            with pytest.raises(ValueError, match="start configuration is on"):
+                ctmc_mean_ones(shape, init, 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(CapacityError):
@@ -360,7 +373,7 @@ class TestFullChainAgreement:
 
     @pytest.mark.parametrize("start", ["density", "delta"])
     def test_poisson_mode_branch_matches(self, start):
-        # n*t = 760: the weights start from the Poisson mode (Fox-Glynn)
+        # n*t = 760: e^{-nt} underflows, and the window is anchored at the mode
         shape = TorusShape(1, 4)
         init = 0.4 if start == "density" else config_from_bits(shape, [1, 0, 1, 1])
         full = FullChainSeries(shape, init)

@@ -10,11 +10,15 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "scripts")
 
 
-def _run(name, *args, cwd):
+def _launch(name, *args, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
                           env=env, cwd=cwd, capture_output=True, text=True,
                           timeout=120)
+
+
+def _run(name, *args, cwd):
+    proc = _launch(name, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -63,3 +67,10 @@ def test_phase_portrait_prints_each_density(tmp_path):
     for words in sims:
         values = [float(v) for v in words[2:]]
         assert len(values) == 9 and all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_phase_portrait_refuses_non_finite_horizon(tmp_path):
+    proc = _launch("phase_portrait.py", "--d", "4", "--replicas", "1", "--T", "nan",
+                   cwd=tmp_path)
+    assert proc.returncode != 0
+    assert "finite and positive" in proc.stderr

@@ -245,6 +245,14 @@ class TestDeterminism:
         assert np.array_equal(RngStream(4, 7).generator().random(4),
                               RngStream(4, (7,)).generator().random(4))
 
+    @pytest.mark.parametrize("kind", [THRESHOLD, DEATH])
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, kind, T):
+        # a run to nan or inf would stop only when the chain absorbs
+        cfg = sample_product(TorusShape(3, 2), 0.4, rng())
+        with pytest.raises(ValueError, match="finite and positive"):
+            run(cfg, kind, T, rng())
+
     def test_distinct_streams_differ(self):
         shape = TorusShape(4, 2)
         out = []
