@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spin import THRESHOLD, rate_table
-from .torus import TorusShape, neighbor_lists, neighbors, two_hop_set
+from .torus import TorusShape, neighbor_lists, neighbors, slot_weight, two_hop_set
 
 CTMC_MAX_VERTICES = 20
 MAX_MATVECS = 10_000  # Poisson terms per uniformized series; E[terms] = n t
@@ -101,7 +101,7 @@ def neighbor_tail(d: int, r: int, p: float, k: int) -> float:
         raise ValueError(f"need d >= 1 and r >= 2, got d={d}, r={r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {p}")
-    w = _slot_weight(r)
+    w = slot_weight(r)
     return _binomial_tail(2 * d // w, p, -(-k // w))
 
 
@@ -115,11 +115,6 @@ def expected_suffix_count(shape: TorusShape, p: float, k: int) -> float:
 def expected_C0(shape: TorusShape, p: float) -> float:
     """E|C_0| = E|I_0(d)|."""
     return expected_suffix_count(shape, p, shape.d)
-
-
-def _slot_weight(r: int) -> int:
-    """Neighbor slots filled by each distinct neighbor of a vertex."""
-    return 2 if r == 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +152,7 @@ def joint_tail_C0(shape: TorusShape, p: float, x1: int, x2: int) -> float:
     n1 = set(neighbors(shape, x1))
     shared = len(n1 & set(neighbors(shape, x2)))
     rest = len(n1) - shared
-    need = -(-d // _slot_weight(shape.r))
+    need = -(-d // slot_weight(shape.r))
     return sum(q * _binomial_tail(rest, p, need - j) ** 2
                for j, q in enumerate(_binomial_pmf(shared, p)))
 
@@ -187,7 +182,7 @@ class DeathLaw:
 
 
 def death_law(shape: TorusShape, p: float, t: float) -> DeathLaw:
-    if t < 0:
+    if not t >= 0:  # nan fails too; t = inf is the all-dead limit
         raise ValueError(f"time must be nonnegative, got {t}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {p}")

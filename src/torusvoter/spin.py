@@ -34,6 +34,11 @@ block are dropped, so a later run on the same Generator draws fresh
 words.  All three loops take their next ring from one method,
 _IndexedSet.ring: an Exp(k) gap over the k armed items, then a uniform
 item.
+
+On r = 2 tori of at least _CLOCK_MIN_VERTICES vertices, run() without
+observers starts in _clock_phase instead: the graphical construction of
+the same chain, applied in numpy windows of rings.  It samples the same
+law from other draws, and hands the run to the engine once few rings flip.
 """
 
 from __future__ import annotations
@@ -41,11 +46,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .torus import TorusShape, neighbor_lists
+from .torus import TorusShape, neighbor_lists, slot_weight
 
 THRESHOLD = "threshold"
 DEATH = "death"
@@ -113,8 +119,16 @@ def build_ones_nbr(shape: TorusShape, bits: np.ndarray) -> np.ndarray:
     lead = bits.shape[:-1]
     grid = bits.reshape(lead + (shape.r,) * shape.d).astype(np.int32)
     total = np.zeros_like(grid)
-    for axis in range(len(lead), grid.ndim):
-        total += np.roll(grid, 1, axis=axis) + np.roll(grid, -1, axis=axis)
+    axes = range(len(lead), grid.ndim)
+    if shape.r == 2:
+        # on a size-2 axis the rolls by +1 and -1 are both the flip (a view):
+        # add it once and count it twice
+        for axis in axes:
+            total += np.flip(grid, axis=axis)
+        total *= 2
+    else:
+        for axis in axes:
+            total += np.roll(grid, 1, axis=axis) + np.roll(grid, -1, axis=axis)
     return total.reshape(lead + (shape.n,))
 
 
@@ -419,17 +433,103 @@ def check_horizon(T: float) -> None:
         raise ValueError(f"horizon must be finite and positive, got {T}")
 
 
+# The clock phase runs on r = 2 tori from this many vertices up, in chunks
+# of this many rings, and hands the run to the engine at the end of the
+# first chunk in which fewer than this share of the rings flip.  Chosen from
+# the crossover table in the README ("Engine").
+_CLOCK_MIN_VERTICES = 2**14
+_CLOCK_CHUNK = 1024
+_CLOCK_FLOOR = 1 / 64
+
+
+def _clock_phase(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
+                 events: list) -> float:
+    """Run the graphical construction on an r = 2 torus from time 0, in place.
+
+    Every vertex carries a unit-rate Poisson clock and flips when it rings
+    iff rate_table says 1 at that instant.  The rings of all n clocks are
+    drawn _CLOCK_CHUNK at a time: Exp(n) gaps, uniform vertices.  A chunk
+    is applied in windows, each cut at the first ring whose vertex is, or
+    neighbors, an earlier active ring of the window.  Every ring before the
+    cut sees the window-start state, since no earlier flip of the window
+    touched its bit or its count, so one vector write of bits and one
+    np.add.at over the neighbor slots (x ^ 1 << i, weight w) apply the
+    window exactly.  Flips are appended to events in time order.
+
+    Returns T when the rings pass the horizon.  Otherwise it returns the
+    time of the last ring of the first chunk in which fewer than
+    _CLOCK_FLOOR of the rings flipped; by the strong Markov property the
+    engine may take the run over from there.
+    """
+    shape = cfg.shape
+    n, d = shape.n, shape.d
+    width = 2 * d + 1
+    rates = rate_table(d, kind).ravel()  # rates[b * width + k]; b * width < 64 fits uint8
+    bits, ones = cfg.bits, cfg.ones_nbr
+    closed = np.concatenate(([0], 1 << np.arange(d)))  # x ^ closed: x, then its neighbors
+    w = np.int32(slot_weight(shape.r))
+    # claim[y]: the first active ring of the window at or next to y, else _CLOCK_CHUNK
+    claim = np.full(n, _CLOCK_CHUNK, dtype=np.int64)
+    order = np.arange(_CLOCK_CHUNK)
+    t = 0.0
+    while True:
+        times = t + np.cumsum(rng.standard_exponential(_CLOCK_CHUNK)) / n
+        verts = rng.integers(n, size=_CLOCK_CHUNK)
+        end = int(times.searchsorted(T))  # rings at or past T never happen
+        flip_t, flip_x, flip_new = [], [], []
+        start = 0
+        while start < end:
+            v = verts[start:end]
+            active = rates[bits[v] * width + ones[v]].nonzero()[0]
+            if active.size == 0:
+                break
+            keys = v[active, None] ^ closed
+            np.minimum.at(claim, keys.ravel(), active.repeat(d + 1))
+            late = (claim[v] < order[:v.size]).nonzero()[0]
+            claim[keys.ravel()] = _CLOCK_CHUNK
+            cut = int(late[0]) if late.size else v.size
+            k = int(active.searchsorted(cut))
+            x = v[active[:k]]
+            new = 1 - bits[x]
+            bits[x] = new
+            moves = (2 * w) * new.astype(np.int32) - w  # +w on 0 -> 1, -w on 1 -> 0
+            np.add.at(ones, keys[:k, 1:].ravel(), moves.repeat(d))
+            flip_t.append(times[start + active[:k]])
+            flip_x.append(x)
+            flip_new.append(new)
+            start += cut
+        if flip_t:
+            # tuple.__new__ builds each FlipEvent without the Python-level
+            # NamedTuple constructor
+            events.extend(map(tuple.__new__, repeat(FlipEvent), zip(
+                np.concatenate(flip_t).tolist(), np.concatenate(flip_x).tolist(),
+                np.concatenate(flip_new).tolist())))
+        if end < _CLOCK_CHUNK:
+            return T
+        t = float(times[-1])
+        if sum(map(len, flip_x)) < _CLOCK_FLOOR * _CLOCK_CHUNK:
+            return t
+
+
 def run(cfg: Configuration, kind: str, T: float, rng: np.random.Generator,
         observers=()) -> Trajectory:
     """Simulate the dynamics on [0, T], notifying observers at 0, events, T.
 
     Observers are callables observer(time, engine, event_or_None); they see
-    the live post-flip state.
+    the live post-flip state.  A run with no observers on an r = 2 torus of
+    at least _CLOCK_MIN_VERTICES vertices starts in _clock_phase, and the
+    engine runs whatever is left of [0, T] after it.
     """
     check_horizon(T)
     initial = cfg.copy()
-    engine = EventEngine(cfg, kind, rng)
     events: list[FlipEvent] = []
+    start = 0.0
+    if not observers and cfg.shape.r == 2 and cfg.shape.n >= _CLOCK_MIN_VERTICES:
+        start = _clock_phase(cfg, kind, T, rng, events)
+        if start >= T:
+            return Trajectory(initial, events, T)
+    engine = EventEngine(cfg, kind, rng)
+    engine.time = start
     for obs in observers:
         obs(0.0, engine, None)
     while engine.time < T:

@@ -109,20 +109,28 @@ def neighbors(shape: TorusShape, x: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def slot_weight(r: int) -> int:
+    """Neighbor slots filled by each distinct neighbor of a vertex on side r:
+    2 on r = 2, where the up and down neighbor coincide, else 1."""
+    return 2 if r == 2 else 1
+
+
 def neighbor_lists(shape: TorusShape):
     """(nbrs, w): nbrs(x) is a list of the distinct neighbors of x, in
-    neighbors() order, and each of them fills w of x's 2d neighbor slots.
+    neighbors() order, and each of them fills w = slot_weight(r) of x's 2d
+    neighbor slots.
 
     Counts move by w per distinct neighbor, so adding w to the count of
     each vertex in nbrs(x) equals one +1 per slot.
     """
+    w = slot_weight(shape.r)
     if shape.r == 2:
         masks = [1 << i for i in range(shape.d)]
-        return (lambda x: [x ^ m for m in masks]), 2
+        return (lambda x: [x ^ m for m in masks]), w
     table = shape.neighbor_table()
     if table is not None:
-        return (lambda x: table[x].tolist()), 1
-    return (lambda x: list(neighbors(shape, x))), 1
+        return (lambda x: table[x].tolist()), w
+    return (lambda x: list(neighbors(shape, x))), w
 
 
 def shared_neighbors(shape: TorusShape, x: int, y: int) -> frozenset[int]:

@@ -181,6 +181,12 @@ class TestDeathLaw:
         with pytest.raises(ValueError):
             death_law(TorusShape(2, 2), 1.5, 1.0)
 
+    def test_refuses_nan_time_keeps_infinite_limit(self):
+        with pytest.raises(ValueError):
+            death_law(TorusShape(2, 3), 0.4, math.nan)
+        law = death_law(TorusShape(2, 3), 0.4, math.inf)  # every one has died
+        assert (law.success, law.mean, law.variance) == (0.0, 0.0, 0.0)
+
 
 class TestCtmcMeanOnes:
     def test_closed_form_three_cycle(self):

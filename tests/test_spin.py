@@ -12,7 +12,7 @@ from torusvoter.spin import (DEATH, THRESHOLD, Configuration, CountMismatchError
                              rate_rows, rate_table, replay, run,
                              sample_product, sample_product_batch,
                              threshold_rate, toggle_rows, verify_counts)
-from torusvoter.torus import TorusShape
+from torusvoter.torus import TorusShape, neighbors
 
 from bruteforce import rejection_run
 from reference import death_rate, sample_death_counts
@@ -42,6 +42,16 @@ class TestSampling:
     def test_counts_built_consistently(self):
         cfg = sample_product(TorusShape(3, 3), 0.4, rng(2))
         verify_counts(cfg)
+
+    @pytest.mark.parametrize("d,r", [(1, 2), (4, 2), (2, 3), (2, 5)])
+    def test_ones_nbr_is_the_slot_sum(self, d, r):
+        """Rows of a batch, each the sum over the 2d slots of neighbors()."""
+        shape = TorusShape(d, r)
+        bits = (rng(15).random((3, shape.n)) < 0.4).astype(np.uint8)
+        got = build_ones_nbr(shape, bits)
+        assert got.dtype == np.int32
+        assert got.tolist() == [[sum(int(row[y]) for y in neighbors(shape, x))
+                                 for x in range(shape.n)] for row in bits]
 
 
 class TestRates:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from torusvoter import torus
 from torusvoter.torus import (TorusShape, decode, encode,
                               neighbor_lists, neighbors,
-                              shared_neighbors, two_hop_set)
+                              shared_neighbors, slot_weight, two_hop_set)
 
 from reference import all_coordinates
 
@@ -142,7 +142,7 @@ def test_neighbor_kernel_is_the_distinct_slots(d, r, cached, monkeypatch):
     _table_limit(cached, monkeypatch)
     shape = TorusShape(d, r)
     lists, w = neighbor_lists(shape)
-    assert w == (2 if r == 2 else 1)
+    assert w == slot_weight(r) == (2 if r == 2 else 1)
     for x in range(shape.n):
         slots = neighbors(shape, x)
         distinct = lists(x)
